@@ -33,6 +33,8 @@ _EXIT_CONFIG = 4
 _EXIT_INFEASIBLE = 5
 _EXIT_IO = 6
 
+_SERIAL_HELP = "accepted for compatibility; D is computed serially"
+
 
 class CliError(Exception):
     def __init__(self, category: str, message: str, code: int):
@@ -106,11 +108,11 @@ def cmd_cluster(args) -> int:
                        _EXIT_INFEASIBLE)
     cfg = _dissim_config(args)
     if args.mode == "offline":
-        D = dissimilarity_matrix(paths, cfg, workers=args.workers)
+        D = dissimilarity_matrix(paths, cfg)
         clustering = offline_cluster(D, args.kappa)
     else:
         snapshot = OnlineSnapshot(t=0, paths=tuple(paths))
-        clustering = online_cluster(snapshot, args.kappa, cfg, workers=args.workers)
+        clustering = online_cluster(snapshot, args.kappa, cfg)
     centers = set(c for c in clustering.centers if c is not None)
     rows = [
         [p.id, int(clustering.labels[i]) + 1, int(i in centers)]
@@ -156,7 +158,7 @@ def cmd_experiment(args) -> int:
         dissim=replace(evaluation.ExperimentConfig().dissim,
                        use_log_star=bool(pick(args.log_star, "log_star", True))),
     )
-    rows = evaluation.run_experiment(ec, workers=args.workers)
+    rows = evaluation.run_experiment(ec)
     rate_rows = [[seed, t, format(rate, ".17g")] for seed, t, rate in rows]
     _write_csv(_out_path(args.output), ["seed", "t", "rate"], rate_rows)
     summary = evaluation.aggregate_rates(rows)
@@ -197,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--log-star", dest="log_star", action="store_true")
     clu.add_argument("--K", type=int, default=None)
     clu.add_argument("--L", type=int, default=1)
-    clu.add_argument("--workers", type=int, default=1)
+    clu.add_argument("--workers", type=int, default=1, help=_SERIAL_HELP)
     clu.set_defaults(func=cmd_cluster)
 
     exp = sub.add_parser("experiment", help="run a synthetic replication")
@@ -209,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--log-star", dest="log_star", action="store_true", default=None)
     exp.add_argument("--no-log-star", dest="log_star", action="store_false")
     exp.add_argument("--config", default=None, help="JSON file with default parameters")
-    exp.add_argument("--workers", type=int, default=1)
+    exp.add_argument("--workers", type=int, default=1, help=_SERIAL_HELP)
     exp.add_argument("--output", required=True, help="per-(seed, t) rate CSV")
     exp.add_argument("--summary", required=True, help="aggregated (t, mean, std) CSV")
     exp.set_defaults(func=cmd_experiment)

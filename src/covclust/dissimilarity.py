@@ -9,7 +9,9 @@ rescales each window by delta_t raised to the local Hurst value.
 Every measure goes through one kernel. A path's features are the empirical
 covariances nu(l, m) of each of its windows, log*-transformed when configured;
 they are computed once per path (per window layout in `dissimilarity_matrix`)
-and a pair's value is reduced from the two feature sets.
+and a pair's value is reduced from the two feature sets. The pairwise matrix
+is built on one serial path: each pair is a few small numpy reductions, too
+short for threads to gain anything.
 """
 
 from __future__ import annotations
@@ -274,11 +276,11 @@ def analytic_d(h1: float, h2: float, var1: float, var2: float, truncation: int =
 
 
 def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
-                         counter: OpCounter | None = None, workers: int = 1) -> np.ndarray:
+                         counter: OpCounter | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise d_star_hat values with a zero diagonal.
 
     Each path's features are computed once per window layout (K, L) that its
-    pairs resolve to, and shared by all those pairs.
+    pairs resolve to, and shared by all those pairs, which are reduced serially.
     """
     n_paths = len(paths)
     if n_paths < 2:
@@ -294,20 +296,7 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                 features[k, K, L] = _features(np.diff(paths[k].values), K + 1, L, cfg)
         if counter is not None:
             counter.rho += L * d_hat_rho_count(K + 1, cfg)
-
-    def one(pair_layout):
-        (i, j), (K, L) = pair_layout
-        return _mean_d_hat(features[i, K, L], features[j, K, L], weights[K])
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(one, zip(pairs, layouts)))
-    else:
-        values = [one(pl) for pl in zip(pairs, layouts)]
     out = np.zeros((n_paths, n_paths))
-    for (i, j), v in zip(pairs, values):
-        out[i, j] = v
-        out[j, i] = v
+    for (i, j), (K, L) in zip(pairs, layouts):
+        out[i, j] = out[j, i] = _mean_d_hat(features[i, K, L], features[j, K, L], weights[K])
     return out

@@ -92,7 +92,6 @@ class ExperimentConfig:
 
     case: str = "mono"  # "mono" | "sin"
     h_values: tuple = ()
-    q: float = 100.0
     paths_per_group: int = 5
     seeds: tuple = (0,)
     mode: str = "offline"  # "offline" | "online"
@@ -209,8 +208,7 @@ def epoch_dissim(cfg: DissimConfig, n_min: int) -> DissimConfig:
     return replace(cfg, K=K, L=L)
 
 
-def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None,
-                   workers: int = 1) -> list:
+def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
     Each epoch runs `epoch_dissim(ec.dissim, n_min)` on its shortest path's
@@ -225,13 +223,12 @@ def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None,
             if ec.mode == "offline":
                 paths, truth = build_offline_dataset(ec, t, seed)
                 cfg = epoch_dissim(ec.dissim, min(len(p) for p in paths))
-                D = dissimilarity_matrix(paths, cfg, counter=counter, workers=workers)
+                D = dissimilarity_matrix(paths, cfg, counter=counter)
                 clustering = offline_cluster(D, ec.kappa)
             elif ec.mode == "online":
                 snapshot, truth = build_online_dataset(ec, t, seed)
                 cfg = epoch_dissim(ec.dissim, min(len(p) for p in snapshot.paths))
-                clustering = online_cluster(snapshot, ec.kappa, cfg,
-                                            counter=counter, workers=workers)
+                clustering = online_cluster(snapshot, ec.kappa, cfg, counter=counter)
             else:
                 raise ValueError(f"unknown mode {ec.mode!r}")
             rows.append((seed, t, misclassification_rate(clustering, truth)))

@@ -4,7 +4,7 @@ At each epoch the offline algorithm is run on every prefix of the arrival
 list; each prefix contributes kappa candidate centers (minimal cluster
 indexes, sorted), weighted by its minimal inter-candidate separation. Every
 path is then assigned by the weighted nearest-candidate rule. All prefix runs
-share one dissimilarity matrix computed once per epoch.
+share one dissimilarity matrix, computed serially once per epoch.
 """
 
 from __future__ import annotations
@@ -35,18 +35,19 @@ def default_beta(j):
 
 def online_cluster(snapshot: OnlineSnapshot, kappa: int,
                    cfg: DissimConfig = DissimConfig(), beta=default_beta,
-                   counter: OpCounter | None = None, workers: int = 1,
+                   counter: OpCounter | None = None,
                    D: np.ndarray | None = None) -> Clustering:
     """Cluster an online snapshot into kappa groups.
 
     A precomputed dissimilarity matrix over the snapshot's paths may be passed
-    in; otherwise one is computed here and shared by all prefix runs.
+    in; otherwise one is computed here, serially, and shared by all prefix
+    runs.
     """
     n = len(snapshot)
     if n < kappa:
         raise ValueError(f"snapshot holds {n} paths, fewer than kappa={kappa}")
     if D is None:
-        D = dissimilarity_matrix(snapshot.paths, cfg, counter=counter, workers=workers)
+        D = dissimilarity_matrix(snapshot.paths, cfg, counter=counter)
 
     candidates = []  # per prefix j: kappa sorted candidate center indexes
     gammas = []

@@ -8,6 +8,7 @@ legal for online use only.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -57,6 +58,8 @@ def read_series(source, ragged_ok: bool = False) -> list:
                 value = float(row[2])
             except ValueError:
                 raise SchemaError(f"{source}: line {lineno}: non-numeric value {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"{source}: line {lineno}: non-finite value {row[2]!r}")
             if t_index < 0:
                 raise SchemaError(f"{source}: line {lineno}: negative t_index {t_index}")
             series = rows.setdefault(sid, {})

@@ -196,7 +196,7 @@ def test_criterion_07_separation_recovery():
 def test_criterion_08_offline_monotonic_replication():
     ec = ExperimentConfig(case="mono", seeds=tuple(range(10)))
     agg = dict()
-    for t, mean, _ in aggregate_rates(run_experiment(ec, workers=4)):
+    for t, mean, _ in aggregate_rates(run_experiment(ec)):
         agg[t] = mean
     ok = agg[100] <= 0.15 and agg[100] < agg[5]
     report(8, ok,
@@ -208,7 +208,7 @@ def test_criterion_08_offline_monotonic_replication():
 def test_criterion_09_offline_periodic_replication():
     ec = ExperimentConfig(case="sin", seeds=tuple(range(10)))
     agg = dict()
-    for t, mean, _ in aggregate_rates(run_experiment(ec, workers=4)):
+    for t, mean, _ in aggregate_rates(run_experiment(ec)):
         agg[t] = mean
     ok = agg[100] < agg[5]
     report(9, ok,
@@ -220,7 +220,7 @@ def test_criterion_10_online_consistency():
     ec = ExperimentConfig(case="mono", mode="online", seeds=(0, 1, 2, 3, 4),
                           epochs=(10, 100))
     agg = dict()
-    for t, mean, _ in aggregate_rates(run_experiment(ec, workers=4)):
+    for t, mean, _ in aggregate_rates(run_experiment(ec)):
         agg[t] = mean
     ok = agg[100] < agg[10]
     report(10, ok, f"online mean rate t=10: {agg[10]:.3f}, t=100: {agg[100]:.3f}")

@@ -156,6 +156,19 @@ def test_cluster_schema_error_exit_code(tmp_path, capsys):
     assert "schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_value_is_schema_error(tmp_path, capsys, bad):
+    f = tmp_path / "nonfinite.csv"
+    f.write_text(f"series_id,t_index,value\na,0,1.0\na,1,2.0\nb,0,0.5\nb,1,{bad}\n")
+    assert run(["ingest-check", "--input", f]) == 3
+    assert run(["cluster", "--input", f, "--output", tmp_path / "x.csv", "--kappa", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("error: schema:")
+        assert f"line 5: non-finite value '{bad}'" in line
+
+
 def test_cluster_online_mode_ragged(tmp_path):
     rng = np.random.default_rng(4)
     paths = [SamplePath("a", rng.standard_normal(10)),

@@ -354,19 +354,18 @@ def test_dissimilarity_matrix_duplicates():
     assert np.all(D == 0.0)
 
 
-def test_dissimilarity_matrix_parallel_bit_identical():
-    paths = _random_paths(23, 6, 20)
-    serial = dissimilarity_matrix(paths, workers=1)
-    parallel = dissimilarity_matrix(paths, workers=4)
-    assert np.array_equal(serial, parallel)
-
-
-def test_dissimilarity_matrix_parallel_counter_matches_serial():
-    paths = _random_paths(24, 5, 16)
-    c1, c2 = OpCounter(), OpCounter()
-    dissimilarity_matrix(paths, counter=c1, workers=1)
-    dissimilarity_matrix(paths, counter=c2, workers=3)
-    assert c1.rho == c2.rho > 0
+@pytest.mark.parametrize("cfg", [DissimConfig(), DissimConfig(K=4), DissimConfig(K=3, L=5)])
+def test_dissimilarity_matrix_counter_exact_on_ragged_paths(cfg):
+    rng = np.random.default_rng(24)
+    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((16, 23, 11, 30))]
+    counter = OpCounter()
+    dissimilarity_matrix(paths, cfg, counter=counter)
+    expected = 0
+    for i in range(len(paths)):
+        for j in range(i + 1, len(paths)):
+            K, L = cfg.windows(min(len(paths[i]), len(paths[j])))
+            expected += L * d_hat_rho_count(K + 1, cfg)
+    assert counter.rho == expected
 
 
 # ---------------------------------------------------------------------------
