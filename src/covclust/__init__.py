@@ -37,9 +37,7 @@ from .processes import (
     build_cov_matrix,
     cholesky_with_jitter,
     d_factor,
-    fbm_increment_cov,
     fbm_increment_cov_matrix,
-    mbm_cov,
     sample_fbm_increments,
     sample_path,
 )

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dissimilarity import DissimConfig, OpCounter, dissimilarity_matrix
 from .hurst import HurstFunction
@@ -77,6 +76,8 @@ def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
             for sigma in itertools.permutations(range(kappa))
         )
     else:
+        from scipy.optimize import linear_sum_assignment
+
         rows, cols = linear_sum_assignment(-confusion)
         agree = int(confusion[rows, cols].sum())
     return (n - agree) / n

@@ -16,6 +16,9 @@ from scipy.special import gamma as _gamma_vec
 from .hurst import HurstFunction
 
 _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+# Rows per block of the covariance assembly. Each temporary then holds at
+# most _COV_BLOCK x n entries (4 MB at n = 2000) rather than n x n.
+_COV_BLOCK = 256
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -71,30 +74,13 @@ def d_factor(t: float, s: float) -> float:
     return value
 
 
-def mbm_cov(f: HurstFunction, s: float, t: float) -> float:
-    """Population covariance Cov(W(s), W(t)) of the mBm with Hurst function f."""
-    hs, ht = f(s), f(t)
-    a = hs + ht
-    return d_factor(hs, ht) * (abs(t) ** a + abs(s) ** a - abs(t - s) ** a)
-
-
-def _d_factor_matrix(h: np.ndarray) -> np.ndarray:
-    """d_factor evaluated on every pair of entries of the Hurst vector h."""
-    g = _gamma_vec(2.0 * h + 1.0) * np.sin(np.pi * h)
-    num = np.sqrt(np.outer(g, g))
-    a = h[:, None] + h[None, :]
-    den = 2.0 * _gamma_vec(a + 1.0) * np.sin(np.pi * a / 2.0)
-    out = num / den
-    if not np.all(np.isfinite(out)):
-        raise ValueError("non-finite coupling factor in covariance assembly")
-    return out
-
-
 def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     """Population covariance matrix of the mBm on a strictly increasing time grid.
 
-    Entry (i, j) equals mbm_cov(f, times[i], times[j]); the matrix is made
-    exactly symmetric by mirroring the upper triangle.
+    Entry (i, j) is d_factor(H_i, H_j) * (|t_j|^a + |t_i|^a - |t_j - t_i|^a)
+    with a = H_i + H_j. Only the upper triangle is evaluated, in blocks of
+    _COV_BLOCK rows written into one preallocated matrix; each block is also
+    written, transposed, below the diagonal, so the matrix is exactly symmetric.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -102,27 +88,27 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     h = f.values_on(times)
-    a = h[:, None] + h[None, :]
     tt = np.abs(times)
-    cov = _d_factor_matrix(h) * (
-        tt[None, :] ** a + tt[:, None] ** a - np.abs(times[None, :] - times[:, None]) ** a
-    )
-    return np.triu(cov) + np.triu(cov, 1).T
-
-
-def fbm_increment_cov(h: float, var1: float, i: int, j: int, delta: float) -> float:
-    """Autocovariance of unit-lag fBm increments at sampling indexes i and j.
-
-    Depends on (i, j) only through |i - j|; var1 is the variance of the
-    process at time 1.
-    """
-    k = i - j
-    return (
-        var1
-        * delta ** (2 * h)
-        / 2.0
-        * (abs(k - 1) ** (2 * h) + abs(k + 1) ** (2 * h) - 2 * abs(k) ** (2 * h))
-    )
+    g = _gamma_vec(2.0 * h + 1.0) * np.sin(np.pi * h)
+    n = times.size
+    cov = np.empty((n, n))
+    for r0 in range(0, n, _COV_BLOCK):
+        r1 = min(r0 + _COV_BLOCK, n)
+        rows, cols = slice(r0, r1), slice(r0, n)
+        a = h[rows, None] + h[None, cols]
+        d = np.sqrt(np.outer(g[rows], g[cols])) / (
+            2.0 * _gamma_vec(a + 1.0) * np.sin(np.pi * a / 2.0)
+        )
+        if not np.all(np.isfinite(d)):
+            raise ValueError("non-finite coupling factor in covariance assembly")
+        powers = tt[None, cols] ** a + tt[rows, None] ** a
+        block = d * (powers - np.abs(times[None, cols] - times[rows, None]) ** a)
+        # the diagonal square mirrors its own upper triangle, like every other entry
+        square = block[:, : r1 - r0]
+        cov[rows, rows] = np.triu(square) + np.triu(square, 1).T
+        cov[rows, r1:] = block[:, r1 - r0 :]
+        cov[r1:, rows] = block[:, r1 - r0 :].T
+    return cov
 
 
 def fbm_increment_cov_matrix(h: float, var1: float, m: int, delta: float = 1.0) -> np.ndarray:
@@ -140,12 +126,12 @@ def fbm_increment_cov_matrix(h: float, var1: float, m: int, delta: float = 1.0) 
 def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix, with escalating jitter.
 
-    Additive diagonal jitter escalates 1e-14 -> 1e-8 before giving up.
+    The matrix itself is factored first. Only if that fails is additive
+    diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up.
     """
-    eye = np.eye(cov.shape[0])
     for jitter in _JITTERS:
         try:
-            return np.linalg.cholesky(cov + jitter * eye)
+            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]) if jitter else cov)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(

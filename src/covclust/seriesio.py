@@ -8,6 +8,7 @@ legal for online use only.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -22,19 +23,78 @@ class SchemaError(ValueError):
     """The series file violates the documented schema."""
 
 
+def _quoted(field: str) -> str:
+    """`field` as csv.writer quotes it when it is not the only field of a row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([field, ""])
+    return buf.getvalue()[:-2]
+
+
 def write_series(paths, destination) -> None:
+    """Write paths in long format, one `id,i,value` line per value.
+
+    Each path becomes one joined string, with its id quoted once as the
+    csv module quotes it and each value in 17-significant-digit text.
+    """
     destination = Path(destination)
     with destination.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(HEADER)
+        fh.write(",".join(HEADER) + "\n")
         for p in paths:
-            for i, v in enumerate(p.values):
-                writer.writerow([p.id, i, format(float(v), ".17g")])
+            sid = _quoted(p.id)
+            fh.write("".join([f"{sid},{i},{v:.17g}\n" for i, v in enumerate(p.values.tolist())]))
 
 
 def read_series(source, ragged_ok: bool = False) -> list:
-    """Parse a series file into SamplePaths, ordered by first appearance."""
+    """Parse a series file into SamplePaths, ordered by first appearance.
+
+    One csv pass splits the rows into per-series text columns; each column is
+    converted as a whole, checked with numpy and ordered by t_index. A file
+    that fails any check is read again by `_read_checked`, whose row-by-row
+    checks define every SchemaError and raise the first one.
+    """
     source = Path(source)
+    paths = _read_columns(source, ragged_ok)
+    return _read_checked(source, ragged_ok) if paths is None else paths
+
+
+def _read_columns(source: Path, ragged_ok: bool):
+    """The paths of a valid file, or None if any schema check would fail."""
+    columns: dict[str, tuple[list, list]] = {}
+    with source.open(newline="") as fh:
+        reader = csv.reader(fh)
+        if next(reader, None) != HEADER:
+            return None
+        for row in reader:
+            if len(row) == 3:
+                sid, t_text, v_text = row
+                try:
+                    column = columns[sid]
+                except KeyError:
+                    column = columns[sid] = ([], [])
+                column[0].append(t_text)
+                column[1].append(v_text)
+            elif row:
+                return None
+    paths = []
+    for sid, (t_text, v_text) in columns.items():
+        n = len(t_text)
+        try:
+            t_index = np.fromiter(map(int, t_text), np.int64, n)
+            values = np.fromiter(map(float, v_text), float, n)
+        except (ValueError, OverflowError):
+            return None
+        order = np.argsort(t_index)
+        contiguous = np.array_equal(t_index[order], np.arange(n))
+        if n < 2 or not contiguous or not np.isfinite(values).all():
+            return None
+        paths.append(SamplePath(id=sid, values=values[order]))
+    if not paths or (len({len(p) for p in paths}) > 1 and not ragged_ok):
+        return None
+    return paths
+
+
+def _read_checked(source: Path, ragged_ok: bool) -> list:
+    """Row-by-row parse that raises the first SchemaError of the file, in file order."""
     rows: dict[str, dict[int, float]] = {}
     with source.open(newline="") as fh:
         reader = csv.reader(fh)

@@ -1,8 +1,14 @@
 """Deliberately slow, literal reference implementations used as test oracles."""
 
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
+from scipy.special import gamma as gamma_vec
+
+from covclust.processes import SamplePath, d_factor
+from covclust.seriesio import HEADER, SchemaError
 
 
 def naive_nu(values, l, m):
@@ -41,3 +47,104 @@ def naive_d_hat(v1, v2, use_log_star=False):
             w = (1.0 / (m * m * (m + 1) ** 2)) * (1.0 / (l * l * (l + 1) ** 2))
             total += w * np.linalg.norm(a - b)
     return total
+
+
+def mbm_cov(f, s, t):
+    """Population covariance Cov(W(s), W(t)) of the mBm with Hurst function f."""
+    hs, ht = f(s), f(t)
+    a = hs + ht
+    return d_factor(hs, ht) * (abs(t) ** a + abs(s) ** a - abs(t - s) ** a)
+
+
+def fbm_increment_cov(h, var1, i, j, delta):
+    """Autocovariance of unit-lag fBm increments at sampling indexes i and j.
+
+    Depends on (i, j) only through |i - j|; var1 is the variance of the
+    process at time 1.
+    """
+    k = i - j
+    return (
+        var1
+        * delta ** (2 * h)
+        / 2.0
+        * (abs(k - 1) ** (2 * h) + abs(k + 1) ** (2 * h) - 2 * abs(k) ** (2 * h))
+    )
+
+
+def dense_cov_matrix(f, times):
+    """The mBm covariance as one dense n x n expression, mirrored from its upper triangle."""
+    times = np.asarray(times, dtype=float)
+    h = f.values_on(times)
+    g = gamma_vec(2.0 * h + 1.0) * np.sin(np.pi * h)
+    a = h[:, None] + h[None, :]
+    d = np.sqrt(np.outer(g, g)) / (2.0 * gamma_vec(a + 1.0) * np.sin(np.pi * a / 2.0))
+    tt = np.abs(times)
+    cov = d * (tt[None, :] ** a + tt[:, None] ** a - np.abs(times[None, :] - times[:, None]) ** a)
+    return np.triu(cov) + np.triu(cov, 1).T
+
+
+def rowwise_write_series(paths, destination):
+    """One csv row write per value."""
+    with Path(destination).open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(HEADER)
+        for p in paths:
+            for i, v in enumerate(p.values):
+                writer.writerow([p.id, i, format(float(v), ".17g")])
+
+
+def rowwise_read_series(source, ragged_ok=False):
+    """Every row parsed and checked in file order; each series then checked in turn."""
+    source = Path(source)
+    rows = {}
+    with source.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise SchemaError(f"{source}: empty file") from None
+        if header != HEADER:
+            raise SchemaError(f"{source}: line 1: expected header {','.join(HEADER)}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 3:
+                raise SchemaError(f"{source}: line {lineno}: expected 3 columns, got {len(row)}")
+            sid = row[0]
+            try:
+                t_index = int(row[1])
+            except ValueError:
+                raise SchemaError(f"{source}: line {lineno}: non-integer t_index {row[1]!r}") from None
+            try:
+                value = float(row[2])
+            except ValueError:
+                raise SchemaError(f"{source}: line {lineno}: non-numeric value {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise SchemaError(f"{source}: line {lineno}: non-finite value {row[2]!r}")
+            if t_index < 0:
+                raise SchemaError(f"{source}: line {lineno}: negative t_index {t_index}")
+            series = rows.setdefault(sid, {})
+            if t_index in series:
+                raise SchemaError(
+                    f"{source}: line {lineno}: duplicate (series_id, t_index) = ({sid!r}, {t_index})"
+                )
+            series[t_index] = value
+    if not rows:
+        raise SchemaError(f"{source}: no data rows")
+    paths = []
+    for sid, series in rows.items():
+        n = len(series)
+        missing = set(range(n)) - series.keys()
+        if missing:
+            raise SchemaError(
+                f"{source}: series {sid!r}: t_index gap, missing {sorted(missing)[:5]}"
+            )
+        if n < 2:
+            raise SchemaError(f"{source}: series {sid!r}: needs at least 2 points")
+        paths.append(SamplePath(id=sid, values=np.array([series[i] for i in range(n)])))
+    lengths = {len(p) for p in paths}
+    if len(lengths) > 1 and not ragged_ok:
+        raise SchemaError(
+            f"{source}: ragged series lengths {sorted(lengths)} are only allowed in online mode"
+        )
+    return paths

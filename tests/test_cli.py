@@ -8,6 +8,8 @@ from covclust import SamplePath
 from covclust.cli import main
 from covclust.seriesio import SchemaError, read_series, write_series
 
+from naive_oracles import rowwise_read_series, rowwise_write_series
+
 
 def run(argv):
     return main([str(a) for a in argv])
@@ -62,6 +64,76 @@ def test_schema_rejects_duplicates_and_gaps(tmp_path):
     gap.write_text("series_id,t_index,value\na,0,1.0\na,2,2.0\n")
     with pytest.raises(SchemaError, match="gap"):
         read_series(gap)
+
+
+# ---------------------------------------------------------------------------
+# series files against the row-by-row reference writer and reader
+# ---------------------------------------------------------------------------
+
+AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp"]
+AWKWARD_VALUES = [-0.0, 5e-324, 1e308, -1.5, 1 / 3]
+
+
+def test_write_series_bytes_match_rowwise_writer(tmp_path):
+    paths = [SamplePath(sid, np.array(AWKWARD_VALUES)) for sid in AWKWARD_IDS]
+    write_series(paths, tmp_path / "joined.csv")
+    rowwise_write_series(paths, tmp_path / "rowwise.csv")
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+
+
+HEAD = "series_id,t_index,value\n"
+READ_CORPUS = [
+    # (file text, ragged_ok, substring of the expected error or None if valid)
+    pytest.param(HEAD + "a,1,2.0\na,0,1.0\nb,1,4\nb,0,3\n", False, None, id="rows-out-of-order"),
+    pytest.param(HEAD + "a,0,1\nb,0,2\na,1,3\nb,1,4\n", False, None, id="interleaved"),
+    pytest.param("series_id,t_index,value\r\na,0,1\r\n\r\na,1,2\r\n\r\n", False, None,
+                 id="blank-lines-crlf"),
+    pytest.param(HEAD + '"x,y",0,1_0\n"x,y",1,2\n', False, None, id="quoted-id-underscore"),
+    pytest.param(HEAD + "a,0,nan\na,1,1\n", False, "line 2: non-finite", id="nan"),
+    pytest.param(HEAD + "a,0,1\na,1,-inf\n", False, "line 3: non-finite", id="minus-inf"),
+    pytest.param(HEAD + "a,-1,1\na,0,2\n", False, "line 2: negative", id="negative-index"),
+    pytest.param(HEAD + "a,0,1\na,1.5,2\n", False, "line 3: non-integer", id="non-integer-index"),
+    pytest.param(HEAD + "a,0,1\na,1,abc\n", False, "line 3: non-numeric", id="non-numeric"),
+    pytest.param(HEAD + "a,0,1\na,x,2\na,1\n", False, "line 3: non-integer",
+                 id="bad-index-before-two-columns"),
+    pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
+    pytest.param(HEAD + "a,0,1\na,2,2\n", False, "gap", id="gap"),
+    pytest.param(HEAD + "a,0,1\na,99999999999999999999,2\n", False, "gap", id="index-beyond-int64"),
+    pytest.param(HEAD + "a,0,1\nb,0,1\nb,1,2\n", False, "at least 2 points", id="single-point"),
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\nb,2,3\n", True, None, id="ragged-online"),
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\nb,2,3\n", False, "ragged", id="ragged-offline"),
+    pytest.param("", False, "empty file", id="empty"),
+    pytest.param(HEAD, False, "no data rows", id="header-only"),
+    pytest.param("id,t,v\na,0,1\n", False, "line 1: expected header", id="bad-header"),
+]
+
+
+def _read_outcome(reader, path, ragged_ok):
+    try:
+        paths = reader(path, ragged_ok=ragged_ok)
+    except SchemaError as exc:
+        return str(exc)
+    return [(p.id, p.values.tobytes()) for p in paths]
+
+
+@pytest.mark.parametrize("text, ragged_ok, error", READ_CORPUS)
+def test_read_series_matches_rowwise_reader(tmp_path, text, ragged_ok, error):
+    f = tmp_path / "corpus.csv"
+    f.write_bytes(text.encode())
+    got = _read_outcome(read_series, f, ragged_ok)
+    assert got == _read_outcome(rowwise_read_series, f, ragged_ok)
+    if error is None:
+        assert isinstance(got, list)
+    else:
+        assert error in got
+
+
+def test_read_series_matches_rowwise_reader_on_awkward_ids(tmp_path):
+    f = tmp_path / "awkward.csv"
+    rowwise_write_series([SamplePath(sid, np.array(AWKWARD_VALUES)) for sid in AWKWARD_IDS], f)
+    got = _read_outcome(read_series, f, False)
+    assert got == _read_outcome(rowwise_read_series, f, False)
+    assert [sid for sid, _ in got] == AWKWARD_IDS
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import covclust
 
 from covclust import (
     Clustering,
@@ -75,6 +82,21 @@ def test_rate_large_kappa_assignment_path():
     perm = np.random.default_rng(1).permutation(kappa)
     c = clustering_from(perm[truth], kappa)
     assert misclassification_rate(c, GroundTruth(kappa=kappa, labels=truth)) == 0.0
+
+
+def test_small_kappa_rate_leaves_scipy_optimize_unimported():
+    # only kappa above the exhaustive limit needs the assignment solver
+    code = (
+        "import sys; import numpy as np; import covclust as c; "
+        "g = c.GroundTruth(kappa=5, labels=np.arange(5)); "
+        "k = c.Clustering(kappa=5, labels=np.arange(5), centers=tuple(range(5))); "
+        "assert c.misclassification_rate(k, g) == 0.0; "
+        "print('scipy.optimize' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(covclust.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_rate_input_validation():

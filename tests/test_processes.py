@@ -8,12 +8,12 @@ from covclust import (
     build_cov_matrix,
     cholesky_with_jitter,
     d_factor,
-    fbm_increment_cov,
     fbm_increment_cov_matrix,
-    mbm_cov,
     sample_fbm_increments,
     sample_path,
 )
+
+from naive_oracles import dense_cov_matrix, fbm_increment_cov, mbm_cov
 
 # Frozen high-precision oracle values (computed independently with an
 # arbitrary-precision gamma implementation before the build).
@@ -69,6 +69,25 @@ def test_build_cov_matrix_exact_symmetry():
     assert np.array_equal(cov, cov.T)
 
 
+BLOCKED_BUILD_PROFILES = {
+    "constant": lambda n: HurstFunction.constant(0.7),
+    "monotonic": lambda n: HurstFunction.monotonic(0.3, 1.0),
+    "periodic": lambda n: HurstFunction.periodic(-0.3, 1.0),
+    "tabulated": lambda n: HurstFunction.tabulated(
+        0.5 + 0.4 * np.random.default_rng(n).uniform(-1.0, 1.0, n)
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCKED_BUILD_PROFILES))
+@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+def test_build_cov_matrix_bitwise_matches_dense(n, kind):
+    # sizes straddle the row-block edge; every entry must equal the one-shot formula
+    f = BLOCKED_BUILD_PROFILES[kind](n)
+    times = np.arange(1, n + 1) / n
+    assert np.array_equal(build_cov_matrix(f, times), dense_cov_matrix(f, times))
+
+
 def test_build_cov_matrix_rejects_unordered_times():
     f = HurstFunction.constant(0.5)
     with pytest.raises(ValueError):
@@ -111,6 +130,11 @@ def test_cholesky_with_jitter_degenerate():
     v = np.array([1.0, 2.0, 3.0])
     factor = cholesky_with_jitter(np.outer(v, v))
     assert factor.shape == (3, 3)
+
+
+def test_cholesky_with_jitter_spd_is_plain_cholesky():
+    cov = build_cov_matrix(HurstFunction.periodic(0.3, 1.0), np.arange(1, 301) / 300)
+    assert cholesky_with_jitter(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
 
 
 def test_cholesky_with_jitter_indefinite_fails():
