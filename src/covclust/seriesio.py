@@ -62,19 +62,23 @@ def _read_columns(source: Path, ragged_ok: bool):
     columns: dict[str, tuple[list, list]] = {}
     with source.open(newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != HEADER:
-            return None
-        for row in reader:
-            if len(row) == 3:
-                sid, t_text, v_text = row
-                try:
-                    column = columns[sid]
-                except KeyError:
-                    column = columns[sid] = ([], [])
-                column[0].append(t_text)
-                column[1].append(v_text)
-            elif row:
+        try:
+            if next(reader, None) != HEADER:
                 return None
+            for row in reader:
+                if len(row) == 3:
+                    sid, t_text, v_text = row
+                    try:
+                        column = columns[sid]
+                    except KeyError:
+                        column = columns[sid] = ([], [])
+                    column[0].append(t_text)
+                    column[1].append(v_text)
+                elif row:
+                    return None
+        except (csv.Error, UnicodeDecodeError):
+            # a schema error on an earlier row must win, as in _read_checked
+            return None
     paths = []
     for sid, (t_text, v_text) in columns.items():
         n = len(t_text)
@@ -84,6 +88,7 @@ def _read_columns(source: Path, ragged_ok: bool):
         except (ValueError, OverflowError):
             return None
         order = np.argsort(t_index)
+        # sorted indexes equal to 0..n-1: none negative, duplicated or missing
         contiguous = np.array_equal(t_index[order], np.arange(n))
         if n < 2 or not contiguous or not np.isfinite(values).all():
             return None
@@ -94,7 +99,10 @@ def _read_columns(source: Path, ragged_ok: bool):
 
 
 def _read_checked(source: Path, ragged_ok: bool) -> list:
-    """Row-by-row parse that raises the first SchemaError of the file, in file order."""
+    """Row-by-row parse: the paths of a valid file, else the first error in file order.
+
+    The one definition of every SchemaError message.
+    """
     rows: dict[str, dict[int, float]] = {}
     with source.open(newline="") as fh:
         reader = csv.reader(fh)

@@ -96,12 +96,17 @@ READ_CORPUS = [
     pytest.param(HEAD + "a,0,1\na,1,abc\n", False, "line 3: non-numeric", id="non-numeric"),
     pytest.param(HEAD + "a,0,1\na,x,2\na,1\n", False, "line 3: non-integer",
                  id="bad-index-before-two-columns"),
+    # the undecodable byte lies beyond the first block the file object decodes
+    pytest.param(HEAD + "a,0,1\na,x,2\n" + "".join(f"b,{i},1\n" for i in range(3000))
+                 + "b,3000,\udcff\n", False, "line 3: non-integer",
+                 id="bad-index-before-undecodable-byte"),
     pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
     pytest.param(HEAD + "a,0,1\na,2,2\n", False, "gap", id="gap"),
     pytest.param(HEAD + "a,0,1\na,99999999999999999999,2\n", False, "gap", id="index-beyond-int64"),
     pytest.param(HEAD + "a,0,1\nb,0,1\nb,1,2\n", False, "at least 2 points", id="single-point"),
     pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\nb,2,3\n", True, None, id="ragged-online"),
-    pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\nb,2,3\n", False, "ragged", id="ragged-offline"),
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\nb,2,3\n", False, "ragged",
+                 id="ragged-offline"),
     pytest.param("", False, "empty file", id="empty"),
     pytest.param(HEAD, False, "no data rows", id="header-only"),
     pytest.param("id,t,v\na,0,1\n", False, "line 1: expected header", id="bad-header"),
@@ -119,7 +124,7 @@ def _read_outcome(reader, path, ragged_ok):
 @pytest.mark.parametrize("text, ragged_ok, error", READ_CORPUS)
 def test_read_series_matches_rowwise_reader(tmp_path, text, ragged_ok, error):
     f = tmp_path / "corpus.csv"
-    f.write_bytes(text.encode())
+    f.write_bytes(text.encode("utf-8", "surrogateescape"))
     got = _read_outcome(read_series, f, ragged_ok)
     assert got == _read_outcome(rowwise_read_series, f, ragged_ok)
     if error is None:
