@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import covclust
-
 from covclust import (
     Clustering,
     DissimConfig,
