@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .hurst import HurstDomainError, HurstFunction
 from .offline import Clustering, offline_cluster
-from .online import OnlineSnapshot, default_beta, online_cluster
+from .online import default_beta, online_cluster
 from .processes import (
     FactorizationError,
     SamplePath,

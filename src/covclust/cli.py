@@ -21,7 +21,7 @@ from . import evaluation
 from .dissimilarity import DissimConfig, dissimilarity_matrix
 from .hurst import HurstDomainError, HurstFunction
 from .offline import offline_cluster
-from .online import OnlineSnapshot, online_cluster
+from .online import online_cluster
 from .processes import FactorizationError, sample_path
 from .seriesio import SchemaError, read_series, write_series
 
@@ -111,8 +111,7 @@ def cmd_cluster(args) -> int:
         D = dissimilarity_matrix(paths, cfg)
         clustering = offline_cluster(D, args.kappa)
     else:
-        snapshot = OnlineSnapshot(t=0, paths=tuple(paths))
-        clustering = online_cluster(snapshot, args.kappa, cfg)
+        clustering = online_cluster(paths, args.kappa, cfg)
     centers = set(c for c in clustering.centers if c is not None)
     rows = [
         [p.id, int(clustering.labels[i]) + 1, int(i in centers)]

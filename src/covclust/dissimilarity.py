@@ -86,8 +86,6 @@ class IncrementPath:
     """Consecutive differences of a sample path (one shorter than its parent)."""
 
     values: np.ndarray
-    parent_id: str = ""
-    delta_t: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
@@ -98,7 +96,7 @@ class IncrementPath:
 
 def increment_path(z: SamplePath) -> IncrementPath:
     """The full increment series of a sample path."""
-    return IncrementPath(np.diff(z.values), parent_id=z.id, delta_t=z.delta_t)
+    return IncrementPath(np.diff(z.values))
 
 
 def log_star(x):
@@ -138,7 +136,7 @@ def empirical_cov(x: IncrementPath, l: int, m: int) -> np.ndarray:
     n = len(x)
     if l < 1 or m < 1 or l + m - 1 > n or n - m - l + 2 < 1:
         raise ValueError(f"empty summation range for (l={l}, m={m}) on a path of length {n}")
-    return _window_covs(x.values, n, 1, m)[0, l - 1]
+    return _window_covs(x.values[l - 1 :], n - l + 1, 1, m)[0, 0]
 
 
 def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
@@ -218,7 +216,7 @@ def localized_increments(z: SamplePath, i: int, K: int) -> IncrementPath:
     n = len(z)
     if i < 1 or i + K + 1 > n:
         raise ValueError(f"window (i={i}, K={K}) overruns a path of length {n}")
-    return IncrementPath(np.diff(z.values[i - 1 : i + K + 1]), parent_id=z.id, delta_t=z.delta_t)
+    return IncrementPath(np.diff(z.values[i - 1 : i + K + 1]))
 
 
 def _localized(z1: SamplePath, z2: SamplePath, cfg: DissimConfig, counter: OpCounter | None,

@@ -13,6 +13,7 @@ being the length of the epoch's shortest path.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field, replace
@@ -22,8 +23,8 @@ import numpy as np
 from .dissimilarity import DissimConfig, OpCounter, dissimilarity_matrix
 from .hurst import HurstFunction
 from .offline import Clustering, offline_cluster
-from .online import OnlineSnapshot, online_cluster
-from .processes import sample_path
+from .online import online_cluster
+from .processes import CACHE_SIZE, sample_path
 
 MONO_H_VALUES = (-0.4, -0.2, 0.0, 0.2, 0.4)
 SIN_H_VALUES = (0.4, 0.2, 0.0, -0.2, -0.4)
@@ -130,26 +131,20 @@ def group_hurst(case: str, h: float) -> HurstFunction:
 
 
 # Full-length simulations, reused across epochs so that every epoch's data is
-# a prefix extension of the previous one.
-_POOL_CACHE: dict = {}
-
-
+# a prefix extension of the previous one. Callers share the returned lists and
+# must not modify them.
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def simulate_pool(ec: ExperimentConfig, seed: int, per_group: int) -> list:
     """per_group full-length paths for each group, deterministic per seed."""
-    key = (ec.case, ec.resolved_h_values(), ec.path_length, per_group, seed)
-    pool = _POOL_CACHE.get(key)
-    if pool is None:
-        n = ec.path_length
-        pool = [
-            [
-                sample_path(group_hurst(ec.case, h), n, 1.0 / n, seed=(seed, gi, l),
-                            id=f"s{seed}g{gi}p{l}")
-                for l in range(1, per_group + 1)
-            ]
-            for gi, h in enumerate(ec.resolved_h_values())
+    n = ec.path_length
+    return [
+        [
+            sample_path(group_hurst(ec.case, h), n, 1.0 / n, seed=(seed, gi, l),
+                        id=f"s{seed}g{gi}p{l}")
+            for l in range(1, per_group + 1)
         ]
-        _POOL_CACHE[key] = pool
-    return pool
+        for gi, h in enumerate(ec.resolved_h_values())
+    ]
 
 
 def offline_path_count(t: int) -> int:
@@ -180,7 +175,7 @@ def online_path_length(t: int, l: int) -> int:
 
 
 def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
-    """The snapshot at epoch t, groups interleaved in fixed arrival order."""
+    """The paths visible at epoch t, groups interleaved in fixed arrival order."""
     if t < 1:
         raise ValueError("epoch must be >= 1")
     per_group = online_group_size(max(ec.epochs))
@@ -193,8 +188,7 @@ def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
         for gi in range(ec.kappa):
             paths.append(pool[gi][l - 1].prefix(n_l))
             labels.append(gi)
-    snapshot = OnlineSnapshot(t=t, paths=tuple(paths))
-    return snapshot, GroundTruth(kappa=ec.kappa, labels=np.array(labels))
+    return tuple(paths), GroundTruth(kappa=ec.kappa, labels=np.array(labels))
 
 
 def epoch_dissim(cfg: DissimConfig, n_min: int) -> DissimConfig:
@@ -227,9 +221,9 @@ def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> li
                 D = dissimilarity_matrix(paths, cfg, counter=counter)
                 clustering = offline_cluster(D, ec.kappa)
             elif ec.mode == "online":
-                snapshot, truth = build_online_dataset(ec, t, seed)
-                cfg = epoch_dissim(ec.dissim, min(len(p) for p in snapshot.paths))
-                clustering = online_cluster(snapshot, ec.kappa, cfg, counter=counter)
+                paths, truth = build_online_dataset(ec, t, seed)
+                cfg = epoch_dissim(ec.dissim, min(len(p) for p in paths))
+                clustering = online_cluster(paths, ec.kappa, cfg, counter=counter)
             else:
                 raise ValueError(f"unknown mode {ec.mode!r}")
             rows.append((seed, t, misclassification_rate(clustering, truth)))

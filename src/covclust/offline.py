@@ -74,16 +74,13 @@ def offline_cluster(D, kappa: int) -> Clustering:
         nearest[centers] = -np.inf
         centers.append(int(np.argmax(nearest)))
 
+    # near[i, k] is the distance from i to the nearest current member of
+    # cluster k; a point joining k lowers column k to its own distances.
     labels = np.full(n, -1, dtype=int)
-    members: list[list[int]] = []
-    for k, c in enumerate(centers):
-        labels[c] = k
-        members.append([c])
-    for i in range(n):
-        if labels[i] >= 0:
-            continue
-        nearest = [D[i, m].min() for m in members]
-        k = int(np.argmin(nearest))
+    labels[centers] = np.arange(kappa)
+    near = D[:, centers]
+    for i in np.flatnonzero(labels < 0):
+        k = int(np.argmin(near[i]))
         labels[i] = k
-        members[k].append(i)
+        np.minimum(near[:, k], D[:, i], out=near[:, k])
     return Clustering(kappa=kappa, labels=labels, centers=tuple(centers))

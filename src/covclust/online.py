@@ -9,23 +9,10 @@ share one dissimilarity matrix, computed serially once per epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dissimilarity import DissimConfig, OpCounter, default_weights, dissimilarity_matrix
 from .offline import Clustering, offline_cluster
-
-
-@dataclass(frozen=True)
-class OnlineSnapshot:
-    """The sample paths visible at epoch t, in stable arrival order."""
-
-    t: int
-    paths: tuple
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 def default_beta(j):
@@ -33,21 +20,19 @@ def default_beta(j):
     return default_weights(j)
 
 
-def online_cluster(snapshot: OnlineSnapshot, kappa: int,
-                   cfg: DissimConfig = DissimConfig(), beta=default_beta,
+def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(), beta=default_beta,
                    counter: OpCounter | None = None,
                    D: np.ndarray | None = None) -> Clustering:
-    """Cluster an online snapshot into kappa groups.
+    """Cluster the sample paths visible at one epoch, in arrival order, into kappa groups.
 
-    A precomputed dissimilarity matrix over the snapshot's paths may be passed
-    in; otherwise one is computed here, serially, and shared by all prefix
-    runs.
+    A precomputed dissimilarity matrix over the paths may be passed in;
+    otherwise one is computed here, serially, and shared by all prefix runs.
     """
-    n = len(snapshot)
+    n = len(paths)
     if n < kappa:
-        raise ValueError(f"snapshot holds {n} paths, fewer than kappa={kappa}")
+        raise ValueError(f"{n} paths are fewer than kappa={kappa}")
     if D is None:
-        D = dissimilarity_matrix(snapshot.paths, cfg, counter=counter)
+        D = dissimilarity_matrix(paths, cfg, counter=counter)
 
     candidates = []  # per prefix j: kappa sorted candidate center indexes
     gammas = []

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_vec
 
+from covclust.offline import Clustering
 from covclust.processes import SamplePath, d_factor
 from covclust.seriesio import HEADER, SchemaError
 
@@ -47,6 +48,38 @@ def naive_d_hat(v1, v2, use_log_star=False):
             w = (1.0 / (m * m * (m + 1) ** 2)) * (1.0 / (l * l * (l + 1) ** 2))
             total += w * np.linalg.norm(a - b)
     return total
+
+
+def memberwise_offline_cluster(D, kappa):
+    """Farthest-first seeding, then each point joins the cluster of its nearest member.
+
+    Keeps every cluster's member list and takes a fresh minimum over it for
+    each point, in index order.
+    """
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    if kappa == 1:
+        return Clustering(kappa=1, labels=np.zeros(n, dtype=int), centers=(0,))
+    iu, ju = np.triu_indices(n, 1)
+    best = int(np.argmax(D[iu, ju]))
+    centers = [int(iu[best]), int(ju[best])]
+    for _ in range(2, kappa):
+        nearest = D[:, centers].min(axis=1)
+        nearest[centers] = -np.inf
+        centers.append(int(np.argmax(nearest)))
+    labels = np.full(n, -1, dtype=int)
+    members = []
+    for k, c in enumerate(centers):
+        labels[c] = k
+        members.append([c])
+    for i in range(n):
+        if labels[i] >= 0:
+            continue
+        nearest = [D[i, m].min() for m in members]
+        k = int(np.argmin(nearest))
+        labels[i] = k
+        members[k].append(i)
+    return Clustering(kappa=kappa, labels=labels, centers=tuple(centers))
 
 
 def mbm_cov(f, s, t):

@@ -25,6 +25,7 @@ from covclust import (
     rho,
     sample_path,
 )
+from covclust.dissimilarity import _window_covs
 
 from naive_oracles import naive_d_hat, naive_nu
 
@@ -127,6 +128,14 @@ def test_empirical_cov_matches_naive():
             np.testing.assert_allclose(
                 empirical_cov(x, l, m), naive_nu(v, l, m), rtol=1e-12
             )
+    # The single slice it computes is bitwise the matching slice of the whole stack.
+    for n in (3, 10, 57, 305):
+        v = rng.standard_normal(n)
+        x = IncrementPath(v)
+        for m in range(1, min(n, 6) + 1):
+            stack = _window_covs(v, n, 1, m)[0]
+            for l in range(1, n - m + 2):
+                assert np.array_equal(empirical_cov(x, l, m), stack[l - 1])
 
 
 def test_empirical_cov_rejects_empty_range():

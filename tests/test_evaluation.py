@@ -20,6 +20,7 @@ from covclust import (
     run_experiment,
 )
 from covclust import evaluation, online
+from covclust.processes import CACHE_SIZE
 from covclust.evaluation import (
     group_hurst,
     offline_path_count,
@@ -169,14 +170,26 @@ def test_offline_prefix_extension():
         assert np.array_equal(a.values, b.values[: len(a)])
 
 
+def test_pool_cache_is_bounded():
+    ec = ExperimentConfig(path_length=6)
+    for seed in range(20):
+        evaluation.simulate_pool(ec, seed, 1)
+    info = evaluation.simulate_pool.cache_info()
+    assert info.currsize <= info.maxsize == CACHE_SIZE
+    pool = evaluation.simulate_pool(ec, 19, 1)
+    assert evaluation.simulate_pool.cache_info().hits == info.hits + 1
+    assert evaluation.simulate_pool(ec, 19, 1) is pool
+
+
 def test_build_online_dataset_schedule():
     ec = ExperimentConfig(mode="online")
-    snap, truth = build_online_dataset(ec, 1, seed=0)
-    assert len(snap) == 30
-    assert all(len(p) == 8 for p in snap.paths)
-    snap11, truth11 = build_online_dataset(ec, 11, seed=0)
-    assert len(snap11) == 35
-    lengths = sorted({len(p) for p in snap11.paths})
+    paths, truth = build_online_dataset(ec, 1, seed=0)
+    assert isinstance(paths, tuple)
+    assert len(paths) == 30
+    assert all(len(p) == 8 for p in paths)
+    paths11, truth11 = build_online_dataset(ec, 11, seed=0)
+    assert len(paths11) == 35
+    lengths = sorted({len(p) for p in paths11})
     assert lengths == [35, 38]  # 7th arrivals are 3 epochs younger
 
 
@@ -184,15 +197,15 @@ def test_online_prefix_extension():
     ec = ExperimentConfig(mode="online")
     early, _ = build_online_dataset(ec, 10, seed=1)
     late, _ = build_online_dataset(ec, 30, seed=1)
-    for a in early.paths:
-        match = [b for b in late.paths if b.id == a.id]
+    for a in early:
+        match = [b for b in late if b.id == a.id]
         assert len(match) == 1
         assert np.array_equal(a.values, match[0].values[: len(a)])
 
 
 def test_online_arrival_interleaves_groups():
     ec = ExperimentConfig(mode="online")
-    snap, truth = build_online_dataset(ec, 1, seed=0)
+    _, truth = build_online_dataset(ec, 1, seed=0)
     assert truth.labels.tolist() == list(range(5)) * 6
 
 

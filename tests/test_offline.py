@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from covclust import Clustering, offline_cluster
 
+from naive_oracles import memberwise_offline_cluster
+
 
 def dist_matrix(points):
     points = np.asarray(points, dtype=float)
@@ -167,6 +169,28 @@ def test_monotone_transform_invariance(seed):
     b = offline_cluster(transformed, kappa)
     assert a.as_partition() == b.as_partition()
     assert a.centers == b.centers
+
+
+@st.composite
+def tied_matrices(draw):
+    """A symmetric zero-diagonal matrix of small integers, so ties are common, and a kappa."""
+    n = draw(st.integers(2, 40))
+    kappa = draw(st.integers(1, min(n, 7)))
+    size = n * (n - 1) // 2
+    upper = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    D = np.zeros((n, n))
+    D[np.triu_indices(n, 1)] = upper
+    return D + D.T, kappa
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_matrices())
+def test_running_minimum_matches_memberwise_assignment(case):
+    D, kappa = case
+    got = offline_cluster(D, kappa)
+    want = memberwise_offline_cluster(D, kappa)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centers == want.centers
 
 
 def test_clustering_members_and_partition():

@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from covclust import (
     DissimConfig,
-    OnlineSnapshot,
     SamplePath,
     default_beta,
     offline_cluster,
@@ -12,11 +11,9 @@ from covclust import (
 )
 
 
-def make_snapshot(seed, count, n=12):
+def make_paths(seed, count, n=12):
     rng = np.random.default_rng(seed)
-    return OnlineSnapshot(
-        t=1, paths=tuple(SamplePath(f"p{i}", rng.standard_normal(n)) for i in range(count))
-    )
+    return tuple(SamplePath(f"p{i}", rng.standard_normal(n)) for i in range(count))
 
 
 def planted_matrix(rng, labels, intra_max, inter_min):
@@ -34,25 +31,25 @@ def partition(c):
 
 
 def test_single_prefix_collapses_to_offline():
-    snap = make_snapshot(0, 4)
+    paths = make_paths(0, 4)
     kappa = 4
-    c_on = online_cluster(snap, kappa)
+    c_on = online_cluster(paths, kappa)
     from covclust import dissimilarity_matrix
 
-    c_off = offline_cluster(dissimilarity_matrix(snap.paths), kappa)
+    c_off = offline_cluster(dissimilarity_matrix(paths), kappa)
     assert partition(c_on) == partition(c_off)
 
 
 def test_too_few_paths():
-    snap = make_snapshot(1, 3)
+    paths = make_paths(1, 3)
     with pytest.raises(ValueError):
-        online_cluster(snap, 4)
+        online_cluster(paths, 4)
 
 
 def test_deterministic():
-    snap = make_snapshot(2, 6)
-    a = online_cluster(snap, 2)
-    b = online_cluster(snap, 2)
+    paths = make_paths(2, 6)
+    a = online_cluster(paths, 2)
+    b = online_cluster(paths, 2)
     assert np.array_equal(a.labels, b.labels)
     assert a.centers == b.centers
 
@@ -63,26 +60,26 @@ def test_planted_separation_recovery(seed):
     rng = np.random.default_rng(seed)
     labels = np.array([0, 1, 0, 1, 0, 1])
     D = planted_matrix(rng, labels, intra_max=0.5, inter_min=1.0)
-    snap = make_snapshot(seed, 6)
-    c = online_cluster(snap, 2, D=D)
+    paths = make_paths(seed, 6)
+    c = online_cluster(paths, 2, D=D)
     assert partition(c) == frozenset(
         {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
     )
 
 
 def test_beta_scaling_invariance():
-    snap = make_snapshot(3, 7)
-    base = online_cluster(snap, 3)
-    scaled = online_cluster(snap, 3, beta=lambda j: 17.0 * default_beta(j))
+    paths = make_paths(3, 7)
+    base = online_cluster(paths, 3)
+    scaled = online_cluster(paths, 3, beta=lambda j: 17.0 * default_beta(j))
     assert np.array_equal(base.labels, scaled.labels)
 
 
 def test_eta_zero_fallback():
     # all paths identical: every gamma is 0, eta = 0
     path = SamplePath("p", np.arange(10.0))
-    snap = OnlineSnapshot(t=1, paths=(path, path, path))
+    paths = (path, path, path)
     D = np.zeros((3, 3))
-    c = online_cluster(snap, 2, D=D)
+    c = online_cluster(paths, 2, D=D)
     assert c.labels.size == 3
     assert len(set(c.labels.tolist())) <= 2
 
@@ -100,12 +97,12 @@ def test_candidate_stability_on_separated_data():
 
 
 def test_precomputed_matrix_matches_internal():
-    snap = make_snapshot(4, 5)
+    paths = make_paths(4, 5)
     from covclust import dissimilarity_matrix
 
-    D = dissimilarity_matrix(snap.paths, DissimConfig())
-    a = online_cluster(snap, 2)
-    b = online_cluster(snap, 2, D=D)
+    D = dissimilarity_matrix(paths, DissimConfig())
+    a = online_cluster(paths, 2)
+    b = online_cluster(paths, 2, D=D)
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -114,5 +111,5 @@ def test_ragged_snapshot():
     paths = tuple(
         SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((8, 12, 20, 9))
     )
-    c = online_cluster(OnlineSnapshot(t=3, paths=paths), 2)
+    c = online_cluster(paths, 2)
     assert c.labels.size == 4

@@ -12,6 +12,7 @@ from covclust import (
     sample_fbm_increments,
     sample_path,
 )
+from covclust.processes import CACHE_SIZE, _fgn_factor, _mbm_factor
 
 from naive_oracles import dense_cov_matrix, fbm_increment_cov, mbm_cov
 
@@ -199,3 +200,16 @@ def test_tangent_process_correlation():
     pop = fbm_increment_cov_matrix(f(t0), 1.0, window)
     pop_corr = pop / pop[0, 0]
     assert np.max(np.abs(corr - pop_corr)) < 0.1
+
+
+def test_factor_caches_are_bounded():
+    for h in np.linspace(-0.4, 0.4, 20):
+        sample_path(HurstFunction.periodic(float(h), 1.0), 6, 1.0 / 6, seed=0)
+        sample_fbm_increments(0.5 + float(h), 6, 1.0, 0)
+    for cache in (_mbm_factor, _fgn_factor):
+        info = cache.cache_info()
+        assert info.maxsize == CACHE_SIZE
+        assert info.currsize <= CACHE_SIZE
+    hits = _mbm_factor.cache_info().hits
+    sample_path(HurstFunction.periodic(0.4, 1.0), 6, 1.0 / 6, seed=1)
+    assert _mbm_factor.cache_info().hits == hits + 1
