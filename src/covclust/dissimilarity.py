@@ -7,11 +7,13 @@ windows of consecutive increments of the raw paths; the normalized variant
 rescales each window by delta_t raised to the local Hurst value.
 
 Every measure goes through one kernel. A path's features are the empirical
-covariances nu(l, m) of each of its windows, log*-transformed when configured;
-they are computed once per path (per window layout in `dissimilarity_matrix`)
-and a pair's value is reduced from the two feature sets. The pairwise matrix
-is built on one serial path: each pair is a few small numpy reductions, too
-short for threads to gain anything.
+covariances nu(l, m) of each of its windows, log*-transformed when configured.
+`dissimilarity_matrix` groups its pairs by window layout (K, L), stacks the
+paths of each layout and builds all their features in one call; it then
+reduces each row's pairs against one tile of paths at a time, the tile capped
+in bytes. A pair's value is reduced from the two feature sets alone, with the
+same additions in the same order whatever the tile, so it does not depend on
+the tile and equals what d_star_hat returns for the pair.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ import numpy as np
 
 from .hurst import HurstFunction
 from .processes import SamplePath, fbm_increment_cov_matrix
+
+# Bytes of features a row's pairs are reduced against at once; it bounds the
+# temporaries of one reduction without changing any pair's value.
+_TILE_BYTES = 512 * 1024
 
 
 def default_weights(j):
@@ -99,17 +105,18 @@ def increment_path(z: SamplePath) -> IncrementPath:
     return IncrementPath(np.diff(z.values))
 
 
-def log_star(x):
-    """Signed logarithm: ln x for x > 0, -ln(-x) for x < 0, and 0 at 0."""
-    arr = np.asarray(x, dtype=float)
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    neg = arr < 0
-    out[pos] = np.log(arr[pos])
-    out[neg] = -np.log(-arr[neg])
-    if np.isscalar(x) or arr.ndim == 0:
-        return float(out)
-    return out
+def log_star(x, out=None):
+    """Signed logarithm: ln x for x > 0, -ln(-x) for x < 0, and +0.0 at 0.
+
+    As with a numpy ufunc, the result is written into `out` when it is given,
+    which may be x itself.
+    """
+    a = np.array(x, dtype=float) if out is None else out
+    neg = np.less(x, 0)
+    np.abs(x, out=a)
+    np.log(a, out=a, where=a != 0)
+    np.negative(a, out=a, where=neg)
+    return float(a) if a.ndim == 0 else a
 
 
 def rho(m1: np.ndarray, m2: np.ndarray, use_log_star: bool = False,
@@ -140,36 +147,38 @@ def empirical_cov(x: IncrementPath, l: int, m: int) -> np.ndarray:
 
 
 def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
-    """nu(l, m), l = 1..n_w-m+1, of each window x[s : s+n_w], s = 0..L-1.
+    """nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w], s = 0..L-1.
 
-    Shape (L, n_w-m+1, m, m). Each window's matrices are its own suffix sums
-    of outer products, so no difference of two long running sums is ever
-    taken and nothing cancels.
+    Shape (..., L, n_w-m+1, m, m), one leading axis per leading axis of x.
+    Each window's matrices are its own suffix sums of outer products, so no
+    difference of two long running sums is ever taken and nothing cancels.
     """
     n_l = n_w - m + 1
-    subs = np.lib.stride_tricks.sliding_window_view(x[: n_w + L - 1], m)
-    outers = subs[:, :, None] * subs[:, None, :]
-    per_window = np.lib.stride_tricks.sliding_window_view(outers, n_l, axis=0)
-    suffix = np.cumsum(per_window[..., ::-1], axis=-1)[..., ::-1]
-    counts = np.arange(n_l, 0, -1, dtype=float)
-    return np.moveaxis(suffix / counts, -1, 1)
+    subs = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], m, axis=-1)
+    outers = subs[..., :, None] * subs[..., None, :]
+    per_window = np.lib.stride_tricks.sliding_window_view(outers, n_l, axis=-3)
+    out = np.empty(per_window.shape[:-3] + (n_l, m, m))
+    np.cumsum(np.moveaxis(per_window, -1, -3)[..., ::-1, :, :], axis=-3,
+              out=out[..., ::-1, :, :])
+    out /= np.arange(n_l, 0, -1, dtype=float)[:, None, None]
+    return out
 
 
 def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
               scales: np.ndarray | None = None) -> list:
-    """Per window size m = 1..m_n: the (L, n_w-m+1, m*m) covariances of the windows of x.
+    """Per window size m = 1..m_n: the (..., L, n_w-m+1, m*m) covariances of the windows of x.
 
-    Window s holds x[s : s+n_w]. Its covariances are divided by scales[s]**2
-    when scales are given, then log* is applied if configured.
+    Window s holds x[..., s : s+n_w]. Its covariances are divided by
+    scales[..., s]**2 when scales are given, then log* is applied if configured.
     """
     out = []
     for m in range(1, cfg.mn_rule(n_w) + 1):
         nu = _window_covs(x, n_w, L, m)
         if scales is not None:
-            nu = nu / (scales * scales)[:, None, None, None]
+            nu /= (scales * scales)[..., None, None, None]
         if cfg.use_log_star:
-            nu = log_star(nu)
-        out.append(nu.reshape(L, n_w - m + 1, m * m))
+            log_star(nu, out=nu)
+        out.append(nu.reshape(nu.shape[:-2] + (m * m,)))
     return out
 
 
@@ -179,13 +188,25 @@ def _weights(n_w: int, cfg: DissimConfig) -> list:
             for m in range(1, cfg.mn_rule(n_w) + 1)]
 
 
-def _mean_d_hat(f1: list, f2: list, weights: list) -> float:
-    """Mean over the windows of d_hat, reduced from two paths' features."""
+def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
+    """Mean over the windows of d_hat between one path's features f1 and each of a batch f2.
+
+    f2 has one more leading axis than f1; the result has one value per entry
+    of it. Each value is reduced on its own, so it does not depend on the batch.
+    """
     per_window = 0.0
     for a, b, w in zip(f1, f2, weights):
         diff = a - b
-        per_window = per_window + np.sqrt(np.einsum("slk,slk->sl", diff, diff)) @ w
-    return float(np.sum(per_window)) / len(f1[0])
+        per_window = per_window + np.sqrt(np.einsum("...slk,...slk->...sl", diff, diff)) @ w
+    return np.sum(per_window, axis=-1) / per_window.shape[-1]
+
+
+def _pair(x1: np.ndarray, x2: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
+          scales=None) -> float:
+    """Mean of d_hat over the L windows of n_w increments that x1 and x2 start."""
+    x = np.stack([x1[: n_w + L - 1], x2[: n_w + L - 1]])
+    f = _features(x, n_w, L, cfg, None if scales is None else np.stack(scales))
+    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w, cfg))[0])
 
 
 def d_hat_rho_count(n: int, cfg: DissimConfig) -> int:
@@ -207,8 +228,7 @@ def d_hat(x1: IncrementPath, x2: IncrementPath, cfg: DissimConfig = DissimConfig
         raise ValueError("both increment series must be nonempty")
     if counter is not None:
         counter.rho += d_hat_rho_count(n, cfg)
-    return _mean_d_hat(_features(x1.values, n, 1, cfg), _features(x2.values, n, 1, cfg),
-                       _weights(n, cfg))
+    return _pair(x1.values, x2.values, n, 1, cfg)
 
 
 def localized_increments(z: SamplePath, i: int, K: int) -> IncrementPath:
@@ -220,13 +240,12 @@ def localized_increments(z: SamplePath, i: int, K: int) -> IncrementPath:
 
 
 def _localized(z1: SamplePath, z2: SamplePath, cfg: DissimConfig, counter: OpCounter | None,
-               scales=(None, None)) -> float:
+               scales=None) -> float:
     """Mean of d_hat over the pair's L windows of K+1 increments."""
     K, L = cfg.windows(min(len(z1), len(z2)))
     if counter is not None:
         counter.rho += L * d_hat_rho_count(K + 1, cfg)
-    f1, f2 = (_features(np.diff(z.values), K + 1, L, cfg, s) for z, s in zip((z1, z2), scales))
-    return _mean_d_hat(f1, f2, _weights(K + 1, cfg))
+    return _pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
 
 
 def d_star_hat(z1: SamplePath, z2: SamplePath, cfg: DissimConfig = DissimConfig(),
@@ -277,24 +296,37 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                          counter: OpCounter | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise d_star_hat values with a zero diagonal.
 
-    Each path's features are computed once per window layout (K, L) that its
-    pairs resolve to, and shared by all those pairs, which are reduced serially.
+    Pairs are grouped by the window layout (K, L) they resolve to. The paths
+    of a layout are stacked and their features built in one call; each row's
+    pairs are then reduced against tiles of at most _TILE_BYTES of features.
     """
     n_paths = len(paths)
     if n_paths < 2:
         raise ValueError("need at least 2 paths")
-    pairs = [(i, j) for i in range(n_paths) for j in range(i + 1, n_paths)]
-    layouts = [cfg.windows(min(len(paths[i]), len(paths[j]))) for i, j in pairs]
-    weights, features = {}, {}
-    for (i, j), (K, L) in zip(pairs, layouts):
-        if K not in weights:
-            weights[K] = _weights(K + 1, cfg)
-        for k in (i, j):
-            if (k, K, L) not in features:
-                features[k, K, L] = _features(np.diff(paths[k].values), K + 1, L, cfg)
-        if counter is not None:
-            counter.rho += L * d_hat_rho_count(K + 1, cfg)
+    lengths = np.array([len(p) for p in paths])
+    n_min = np.minimum.outer(lengths, lengths)
+    sizes, first = np.unique(n_min[np.triu_indices(n_paths, 1)], return_index=True)
+    layouts = {}
+    for k in np.argsort(first):  # in pair order, so the first infeasible pair raises
+        layouts.setdefault(cfg.windows(int(sizes[k])), []).append(sizes[k])
     out = np.zeros((n_paths, n_paths))
-    for (i, j), (K, L) in zip(pairs, layouts):
-        out[i, j] = out[j, i] = _mean_d_hat(features[i, K, L], features[j, K, L], weights[K])
+    for (K, L), layout_sizes in layouts.items():
+        pairs = np.triu(np.isin(n_min, layout_sizes), 1)
+        if counter is not None:
+            counter.rho += int(pairs.sum()) * L * d_hat_rho_count(K + 1, cfg)
+        members = np.flatnonzero(pairs.any(axis=0) | pairs.any(axis=1))
+        slot = np.zeros(n_paths, dtype=int)
+        slot[members] = np.arange(members.size)
+        stack = np.stack([np.diff(paths[k].values[: K + L + 1]) for k in members])
+        features = _features(stack, K + 1, L, cfg)
+        weights = _weights(K + 1, cfg)
+        tile = max(1, _TILE_BYTES // sum(f[0].nbytes for f in features))
+        for i in members:
+            row = [f[slot[i]] for f in features]
+            cols = np.flatnonzero(pairs[i])
+            for t in range(0, cols.size, tile):
+                j = cols[t : t + tile]
+                s = slot[j]
+                block = slice(s[0], s[-1] + 1) if s[-1] - s[0] + 1 == s.size else s
+                out[i, j] = out[j, i] = _mean_d_hat(row, [f[block] for f in features], weights)
     return out

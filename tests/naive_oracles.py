@@ -50,6 +50,56 @@ def naive_d_hat(v1, v2, use_log_star=False):
     return total
 
 
+def _masked_log_star(arr):
+    out = np.zeros_like(arr)
+    pos = arr > 0
+    neg = arr < 0
+    out[pos] = np.log(arr[pos])
+    out[neg] = -np.log(-arr[neg])
+    return out
+
+
+def _single_path_features(x, n_w, L, cfg):
+    """Per window size m: the (L, n_w-m+1, m*m) covariances of one path's windows."""
+    out = []
+    for m in range(1, cfg.mn_rule(n_w) + 1):
+        n_l = n_w - m + 1
+        subs = np.lib.stride_tricks.sliding_window_view(x[: n_w + L - 1], m)
+        outers = subs[:, :, None] * subs[:, None, :]
+        per_window = np.lib.stride_tricks.sliding_window_view(outers, n_l, axis=0)
+        suffix = np.cumsum(per_window[..., ::-1], axis=-1)[..., ::-1]
+        nu = np.moveaxis(suffix / np.arange(n_l, 0, -1, dtype=float), -1, 1)
+        if cfg.use_log_star:
+            nu = _masked_log_star(nu)
+        out.append(nu.reshape(L, n_l, m * m))
+    return out
+
+
+def pairwise_dissimilarity_matrix(paths, cfg):
+    """D built one path's features and one pair's reduction at a time.
+
+    Features are cached per (path, K, L); each pair is reduced on its own,
+    in index order.
+    """
+    n_paths = len(paths)
+    features = {}
+    out = np.zeros((n_paths, n_paths))
+    for i in range(n_paths):
+        for j in range(i + 1, n_paths):
+            K, L = cfg.windows(min(len(paths[i]), len(paths[j])))
+            for k in (i, j):
+                if (k, K, L) not in features:
+                    features[k, K, L] = _single_path_features(np.diff(paths[k].values), K + 1, L, cfg)
+            weights = [float(cfg.weight_rule(m)) * cfg.weight_rule(np.arange(1, K - m + 3))
+                       for m in range(1, cfg.mn_rule(K + 1) + 1)]
+            per_window = 0.0
+            for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
+                diff = a - b
+                per_window = per_window + np.sqrt(np.einsum("slk,slk->sl", diff, diff)) @ w
+            out[i, j] = out[j, i] = float(np.sum(per_window)) / L
+    return out
+
+
 def memberwise_offline_cluster(D, kappa):
     """Farthest-first seeding, then each point joins the cluster of its nearest member.
 

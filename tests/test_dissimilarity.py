@@ -25,9 +25,10 @@ from covclust import (
     rho,
     sample_path,
 )
-from covclust.dissimilarity import _window_covs
+from covclust import dissimilarity
+from covclust.dissimilarity import _features, _window_covs
 
-from naive_oracles import naive_d_hat, naive_nu
+from naive_oracles import naive_d_hat, naive_nu, pairwise_dissimilarity_matrix
 
 
 def rng_increments(seed, n):
@@ -54,6 +55,11 @@ def test_log_star_array():
 def test_log_star_odd_symmetry():
     for x in (0.5, 2.0, 17.3):
         assert log_star(-x) == -log_star(x)
+
+
+def test_log_star_negative_zero_is_positive_zero():
+    assert not np.signbit(log_star(-0.0))
+    assert not np.any(np.signbit(log_star(np.array([-0.0, 0.0]))))
 
 
 def test_rho_examples():
@@ -375,6 +381,39 @@ def test_dissimilarity_matrix_counter_exact_on_ragged_paths(cfg):
             K, L = cfg.windows(min(len(paths[i]), len(paths[j])))
             expected += L * d_hat_rho_count(K + 1, cfg)
     assert counter.rho == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10_000), st.lists(st.integers(5, 30), min_size=2, max_size=6),
+       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle(seed, lengths, set_K, set_L,
+                                                             use_log_star, duplicate, flat):
+    rng = np.random.default_rng(seed)
+    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate(lengths)]
+    if flat:
+        # every increment of the first path is exactly zero, half of the second's
+        paths[0] = SamplePath("flat", np.full(lengths[0], 1.5))
+        paths[1] = SamplePath("steps", np.repeat(rng.standard_normal(lengths[1]), 2)[: lengths[1]])
+    if duplicate:
+        paths.insert(1, paths[-1])
+    n_min = min(lengths)
+    K = int(rng.integers(1, n_min - 1)) if set_K else None
+    L = int(rng.integers(1, n_min - (n_min - 2 if K is None else K))) if set_L else None
+    cfg = DissimConfig(K=K, L=L, use_log_star=use_log_star)
+    D = dissimilarity_matrix(paths, cfg)
+    assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
+
+
+@pytest.mark.parametrize("lengths", [(20,) * 12, (20, 12, 20, 14, 20, 12, 18, 20, 16, 20)])
+def test_dissimilarity_matrix_tile_invariant(monkeypatch, lengths):
+    rng = np.random.default_rng(25)
+    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate(lengths)]
+    cfg = DissimConfig(K=4, use_log_star=True)
+    per_path = sum(f[0].nbytes for f in _features(np.zeros((1, 20)), 5, 15, cfg))
+    assert dissimilarity._TILE_BYTES // per_path >= len(paths)
+    D = dissimilarity_matrix(paths, cfg)
+    monkeypatch.setattr(dissimilarity, "_TILE_BYTES", 1)
+    assert dissimilarity_matrix(paths, cfg).tobytes() == D.tobytes()
 
 
 # ---------------------------------------------------------------------------
