@@ -234,11 +234,12 @@ def main(argv=None) -> int:
     except SchemaError as exc:
         print(f"error: schema: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA
+    except FactorizationError as exc:
+        # Before ValueError: a LinAlgError is one.
+        print(f"error: numeric: {exc}", file=sys.stderr)
+        return _EXIT_INFEASIBLE
     except (HurstDomainError, ValueError) as exc:
         print(f"error: infeasible: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    except FactorizationError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)

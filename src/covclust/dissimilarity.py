@@ -27,8 +27,9 @@ import numpy as np
 from .hurst import HurstFunction
 from .processes import SamplePath, fbm_increment_cov_matrix
 
-# Bytes of features a row's pairs are reduced against at once; it bounds the
-# temporaries of one reduction without changing any pair's value.
+# Bytes of features a row's pairs are reduced against at once, and of features
+# log* runs over at once; it bounds the temporaries of one reduction and of
+# log*'s masks without changing any value.
 _TILE_BYTES = 512 * 1024
 
 
@@ -177,7 +178,11 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
         if scales is not None:
             nu /= (scales * scales)[..., None, None, None]
         if cfg.use_log_star:
-            log_star(nu, out=nu)
+            flat = nu.reshape(-1)  # a view: nu is a fresh contiguous array
+            step = max(1, _TILE_BYTES // flat.itemsize)
+            for start in range(0, flat.size, step):
+                part = flat[start : start + step]
+                log_star(part, out=part)
         out.append(nu.reshape(nu.shape[:-2] + (m * m,)))
     return out
 

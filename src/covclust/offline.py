@@ -2,7 +2,8 @@
 
 Operates on a precomputed symmetric dissimilarity matrix; all choices are
 order-statistic based, so any strictly increasing entrywise transform of the
-matrix yields the same partition. Ties break toward the lowest index.
+matrix yields the same partition. Ties between centers break toward the lowest
+index, ties in the assignment toward the lowest label.
 """
 
 from __future__ import annotations
@@ -51,10 +52,13 @@ def _validate_matrix(D: np.ndarray) -> np.ndarray:
 def offline_cluster(D, kappa: int) -> Clustering:
     """Cluster N points into kappa groups from their dissimilarity matrix.
 
-    The two mutually farthest points seed the first two clusters; each further
-    center maximizes the distance to the chosen centers; remaining points are
-    assigned in index order to the cluster with the nearest current member,
-    joining it before later points are processed.
+    The two mutually farthest points (the first maximum of the strict upper
+    triangle, row by row) seed the first two clusters; each further center
+    maximizes the distance to the chosen centers. Every other point, in index
+    order, takes the label of its nearest already-labelled point, that is, the
+    nearest center or lower-indexed point, ties going to the lowest label.
+    This is the same as joining the cluster with the nearest current member
+    before later points are processed.
     """
     D = _validate_matrix(D)
     n = D.shape[0]
@@ -64,23 +68,34 @@ def offline_cluster(D, kappa: int) -> Clustering:
     if kappa == 1:
         return Clustering(kappa=1, labels=np.zeros(n, dtype=int), centers=(0,))
 
-    iu, ju = np.triu_indices(n, 1)
-    best = int(np.argmax(D[iu, ju]))
-    centers = [int(iu[best]), int(ju[best])]
+    idx = np.arange(n)
+    # D is finite, so the masked lower triangle never wins, even when every
+    # entry above the diagonal is negative.
+    first, second = divmod(int(np.argmax(np.where(idx[:, None] < idx, D, -np.inf))), n)
+    centers = [first, second]
+    nearest = np.minimum(D[:, first], D[:, second])
     for _ in range(2, kappa):
-        nearest = D[:, centers].min(axis=1)
         # Chosen centers sit at distance 0 from themselves; mask them so the
         # selection always yields distinct centers even on duplicated points.
         nearest[centers] = -np.inf
-        centers.append(int(np.argmax(nearest)))
+        c = int(np.argmax(nearest))
+        centers.append(c)
+        np.minimum(nearest, D[:, c], out=nearest)
 
-    # near[i, k] is the distance from i to the nearest current member of
-    # cluster k; a point joining k lowers column k to its own distances.
-    labels = np.full(n, -1, dtype=int)
-    labels[centers] = np.arange(kappa)
-    near = D[:, centers]
-    for i in np.flatnonzero(labels < 0):
-        k = int(np.argmin(near[i]))
-        labels[i] = k
-        np.minimum(near[:, k], D[:, i], out=near[:, k])
-    return Clustering(kappa=kappa, labels=labels, centers=tuple(centers))
+    is_center = np.zeros(n, dtype=bool)
+    is_center[centers] = True
+    rest = np.flatnonzero(~is_center)
+    # Row r holds the distances from rest[r] to the points labelled before it.
+    near = np.where(is_center | (idx < rest[:, None]), D[rest], np.inf)
+    hit = near == near.min(axis=1, keepdims=True)
+    first_hit = np.argmax(hit, axis=1).tolist()
+    tied = set(np.flatnonzero(hit.sum(axis=1) > 1).tolist())
+    labels = [-1] * n
+    for k, c in enumerate(centers):
+        labels[c] = k
+    for r, i in enumerate(rest.tolist()):
+        if r in tied:
+            labels[i] = min(labels[j] for j in np.flatnonzero(hit[r]).tolist())
+        else:
+            labels[i] = labels[first_hit[r]]
+    return Clustering(kappa=kappa, labels=np.array(labels), centers=tuple(centers))

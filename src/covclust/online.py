@@ -1,10 +1,12 @@
 """Online clustering: weighted vote over prefix-generated candidate centers.
 
-At each epoch the offline algorithm is run on every prefix of the arrival
-list; each prefix contributes kappa candidate centers (minimal cluster
-indexes, sorted), weighted by its minimal inter-candidate separation. Every
-path is then assigned by the weighted nearest-candidate rule. All prefix runs
-share one dissimilarity matrix, computed serially once per epoch.
+At each epoch offline_cluster is run on every prefix of the arrival list, one
+call per prefix; there each point takes the label of its nearest
+already-labelled point, ties going to the lowest label. Each prefix contributes
+kappa candidate centers (minimal cluster indexes, sorted), weighted by its
+minimal inter-candidate separation. Every path is then assigned by the weighted
+nearest-candidate rule. All prefix runs share one dissimilarity matrix,
+computed serially once per epoch.
 """
 
 from __future__ import annotations
@@ -34,19 +36,19 @@ def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(), beta=d
     if D is None:
         D = dissimilarity_matrix(paths, cfg, counter=counter)
 
+    iu, ju = np.triu_indices(kappa, 1)
     candidates = []  # per prefix j: kappa sorted candidate center indexes
-    gammas = []
     weights = []
     for j in range(kappa, n + 1):
+        # Every label occurs, and its first index is that cluster's minimal member.
         prefix = offline_cluster(D[:j, :j], kappa)
-        cand = sorted(int(prefix.members(k).min()) for k in range(kappa))
-        candidates.append(cand)
-        sub = D[np.ix_(cand, cand)]
-        gammas.append(float(sub[np.triu_indices(kappa, 1)].min()) if kappa > 1 else 0.0)
+        candidates.append(np.sort(np.unique(prefix.labels, return_index=True)[1]))
         weights.append(float(beta(j)))
 
     cand_idx = np.array(candidates)          # (num_prefixes, kappa)
-    wg = np.array(weights) * np.array(gammas)
+    # Each prefix's gamma: the minimal separation between its candidates.
+    gammas = D[cand_idx[:, iu], cand_idx[:, ju]].min(axis=1) if kappa > 1 else 0.0
+    wg = np.array(weights) * gammas
     eta = float(wg.sum())
 
     if eta == 0.0:

@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gamma as gamma_vec
 
 from covclust.offline import Clustering
+from covclust.online import default_beta
 from covclust.processes import SamplePath, d_factor
 from covclust.seriesio import HEADER, SchemaError
 
@@ -130,6 +131,40 @@ def memberwise_offline_cluster(D, kappa):
         labels[i] = k
         members[k].append(i)
     return Clustering(kappa=kappa, labels=labels, centers=tuple(centers))
+
+
+def prefixwise_online_cluster(D, kappa, beta=default_beta):
+    """The online vote with one farthest-first run per prefix, candidates read off member lists.
+
+    Each prefix is clustered by memberwise_offline_cluster; its candidates are
+    the sorted minimal members of its clusters and its gamma the least
+    separation between them, taken from a fresh kappa x kappa submatrix.
+    """
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    candidates = []
+    gammas = []
+    weights = []
+    for j in range(kappa, n + 1):
+        prefix = memberwise_offline_cluster(D[:j, :j], kappa)
+        cand = sorted(int(prefix.members(k).min()) for k in range(kappa))
+        candidates.append(cand)
+        sub = D[np.ix_(cand, cand)]
+        gammas.append(float(sub[np.triu_indices(kappa, 1)].min()) if kappa > 1 else 0.0)
+        weights.append(float(beta(j)))
+    cand_idx = np.array(candidates)
+    wg = np.array(weights) * np.array(gammas)
+    eta = float(wg.sum())
+    if eta == 0.0:
+        scores = D[:, cand_idx[0]]
+    else:
+        scores = np.einsum("j,njk->nk", wg, D[:, cand_idx]) / eta
+    labels = np.argmin(scores, axis=1)
+    centers = tuple(
+        int(np.flatnonzero(labels == k).min()) if np.any(labels == k) else None
+        for k in range(kappa)
+    )
+    return Clustering(kappa=kappa, labels=labels, centers=centers)
 
 
 def mbm_cov(f, s, t):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from covclust import SamplePath
+from covclust import SamplePath, processes
 from covclust.cli import main
 from covclust.seriesio import SchemaError, read_series, write_series
 
@@ -169,6 +169,18 @@ def test_simulate_bad_hurst_spec(tmp_path, capsys):
     code = run(["simulate", "--hurst", "warp:0.5", "--output", tmp_path / "x.csv"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
+    def fail(cov):
+        raise processes.FactorizationError("not positive definite")
+
+    monkeypatch.setattr(processes, "cholesky_with_jitter", fail)
+    processes._mbm_factor.cache_clear()
+    code = run(["simulate", "--hurst", "constant:0.5", "--n", "10", "--paths", "1",
+                "--output", tmp_path / "x.csv"])
+    assert code == 5
+    assert capsys.readouterr().err.startswith("error: numeric: not positive definite")
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -173,11 +173,14 @@ def test_monotone_transform_invariance(seed):
 
 @st.composite
 def tied_matrices(draw):
-    """A symmetric zero-diagonal matrix of small integers, so ties are common, and a kappa."""
-    n = draw(st.integers(2, 40))
+    """A symmetric zero-diagonal matrix of small integers, so ties are common, and a kappa.
+
+    Entries may be negative, so the farthest pair can lie below every diagonal zero.
+    """
+    n = draw(st.integers(1, 40))
     kappa = draw(st.integers(1, min(n, 7)))
     size = n * (n - 1) // 2
-    upper = draw(st.lists(st.integers(0, 3), min_size=size, max_size=size))
+    upper = draw(st.lists(st.integers(-3, 3), min_size=size, max_size=size))
     D = np.zeros((n, n))
     D[np.triu_indices(n, 1)] = upper
     return D + D.T, kappa

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covclust import (
     DissimConfig,
@@ -9,6 +9,9 @@ from covclust import (
     offline_cluster,
     online_cluster,
 )
+
+from naive_oracles import prefixwise_online_cluster
+from test_offline import tied_matrices
 
 
 def make_paths(seed, count, n=12):
@@ -113,3 +116,14 @@ def test_ragged_snapshot():
     )
     c = online_cluster(paths, 2)
     assert c.labels.size == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(tied_matrices())
+@example((np.zeros((6, 6)), 3))
+def test_vote_matches_prefixwise_oracle(case):
+    D, kappa = case
+    got = online_cluster(make_paths(0, len(D)), kappa, D=D)
+    want = prefixwise_online_cluster(D, kappa)
+    assert np.array_equal(got.labels, want.labels)
+    assert got.centers == want.centers
