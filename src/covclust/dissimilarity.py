@@ -8,6 +8,10 @@ rescales each window by delta_t raised to the local Hurst value.
 
 Every measure goes through one kernel. A path's features are the empirical
 covariances nu(l, m) of each of its windows, log*-transformed when configured.
+nu is symmetric, so each of its m(m+1)/2 upper-triangle entries is stored
+once, as one contiguous plane over (window, start) in np.triu_indices order;
+the off-diagonal planes are multiplied by sqrt(2), so that the plain sum of
+squared plane differences is the squared Frobenius distance.
 `dissimilarity_matrix` groups its pairs by window layout (K, L), stacks the
 paths of each layout and builds all their features in one call; it then
 reduces each row's pairs against one tile of paths at a time, the tile capped
@@ -31,6 +35,8 @@ from .processes import SamplePath, fbm_increment_cov_matrix
 # log* runs over at once; it bounds the temporaries of one reduction and of
 # log*'s masks without changing any value.
 _TILE_BYTES = 512 * 1024
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def default_weights(j):
@@ -144,46 +150,56 @@ def empirical_cov(x: IncrementPath, l: int, m: int) -> np.ndarray:
     n = len(x)
     if l < 1 or m < 1 or l + m - 1 > n or n - m - l + 2 < 1:
         raise ValueError(f"empty summation range for (l={l}, m={m}) on a path of length {n}")
-    return _window_covs(x.values[l - 1 :], n - l + 1, 1, m)[0, 0]
+    entries = _window_covs(x.values[l - 1 :], n - l + 1, 1, m)[:, 0, 0]
+    rows, cols = np.triu_indices(m)
+    out = np.empty((m, m))
+    out[rows, cols] = out[cols, rows] = entries
+    return out
 
 
 def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
-    """nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w], s = 0..L-1.
+    """Upper-triangle entries of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w].
 
-    Shape (..., L, n_w-m+1, m, m), one leading axis per leading axis of x.
-    Each window's matrices are its own suffix sums of outer products, so no
-    difference of two long running sums is ever taken and nothing cancels.
+    Shape (..., m(m+1)/2, L, n_w-m+1), s = 0..L-1 on the window axis and one
+    leading axis per leading axis of x: one contiguous plane per entry (r, c)
+    of np.triu_indices(m). Each window's entries are its own suffix sums of
+    the products x[t+r] x[t+c], so no difference of two long running sums is
+    ever taken and nothing cancels.
     """
     n_l = n_w - m + 1
-    subs = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], m, axis=-1)
-    outers = subs[..., :, None] * subs[..., None, :]
-    per_window = np.lib.stride_tricks.sliding_window_view(outers, n_l, axis=-3)
-    out = np.empty(per_window.shape[:-3] + (n_l, m, m))
-    np.cumsum(np.moveaxis(per_window, -1, -3)[..., ::-1, :, :], axis=-3,
-              out=out[..., ::-1, :, :])
-    out /= np.arange(n_l, 0, -1, dtype=float)[:, None, None]
+    shifts = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w + L - m, axis=-1)
+    rows, cols = np.triu_indices(m)
+    products = shifts[..., rows, :] * shifts[..., cols, :]
+    per_window = np.lib.stride_tricks.sliding_window_view(products, n_l, axis=-1)
+    out = np.empty(per_window.shape)
+    np.cumsum(per_window[..., ::-1], axis=-1, out=out[..., ::-1])
+    out /= np.arange(n_l, 0, -1, dtype=float)
     return out
 
 
 def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
               scales: np.ndarray | None = None) -> list:
-    """Per window size m = 1..m_n: the (..., L, n_w-m+1, m*m) covariances of the windows of x.
+    """Per window size m = 1..m_n: the (..., m(m+1)/2, L, n_w-m+1) feature planes of x's windows.
 
-    Window s holds x[..., s : s+n_w]. Its covariances are divided by
-    scales[..., s]**2 when scales are given, then log* is applied if configured.
+    Window s holds x[..., s : s+n_w]. Its covariance entries are divided by
+    scales[..., s]**2 when scales are given, then log* is applied if
+    configured, then the off-diagonal planes are multiplied by sqrt(2).
     """
     out = []
     for m in range(1, cfg.mn_rule(n_w) + 1):
         nu = _window_covs(x, n_w, L, m)
         if scales is not None:
-            nu /= (scales * scales)[..., None, None, None]
+            nu /= (scales * scales)[..., None, :, None]
         if cfg.use_log_star:
             flat = nu.reshape(-1)  # a view: nu is a fresh contiguous array
             step = max(1, _TILE_BYTES // flat.itemsize)
             for start in range(0, flat.size, step):
                 part = flat[start : start + step]
                 log_star(part, out=part)
-        out.append(nu.reshape(nu.shape[:-2] + (m * m,)))
+        rows, cols = np.triu_indices(m)
+        for p in np.flatnonzero(rows != cols):
+            nu[..., p, :, :] *= _SQRT2
+        out.append(nu)
     return out
 
 
@@ -197,12 +213,17 @@ def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
     """Mean over the windows of d_hat between one path's features f1 and each of a batch f2.
 
     f2 has one more leading axis than f1; the result has one value per entry
-    of it. Each value is reduced on its own, so it does not depend on the batch.
+    of it. The squared plane differences are added plane by plane, so each
+    value is reduced on its own and does not depend on the batch.
     """
     per_window = 0.0
     for a, b, w in zip(f1, f2, weights):
-        diff = a - b
-        per_window = per_window + np.sqrt(np.einsum("...slk,...slk->...sl", diff, diff)) @ w
+        diff = b - a
+        np.multiply(diff, diff, out=diff)
+        sq = diff[..., 0, :, :]
+        for p in range(1, diff.shape[-3]):
+            sq += diff[..., p, :, :]
+        per_window = per_window + np.sqrt(sq, out=sq) @ w
     return np.sum(per_window, axis=-1) / per_window.shape[-1]
 
 

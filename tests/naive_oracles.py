@@ -76,8 +76,8 @@ def _single_path_features(x, n_w, L, cfg):
     return out
 
 
-def pairwise_dissimilarity_matrix(paths, cfg):
-    """D built one path's features and one pair's reduction at a time.
+def fullstorage_dissimilarity_matrix(paths, cfg):
+    """D from all m*m entries of each nu, one path's features and one pair at a time.
 
     Features are cached per (path, K, L); each pair is reduced on its own,
     in index order.
@@ -97,6 +97,55 @@ def pairwise_dissimilarity_matrix(paths, cfg):
             for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
                 diff = a - b
                 per_window = per_window + np.sqrt(np.einsum("slk,slk->sl", diff, diff)) @ w
+            out[i, j] = out[j, i] = float(np.sum(per_window)) / L
+    return out
+
+
+def _single_path_planes(x, n_w, L, cfg):
+    """Per window size m: the (m(m+1)/2, L, n_w-m+1) feature planes of one path's windows.
+
+    One plane per upper-triangle entry (r, c) of nu, in np.triu_indices order,
+    built from its own products; off-diagonal planes are multiplied by sqrt(2)
+    after log*.
+    """
+    out = []
+    for m in range(1, cfg.mn_rule(n_w) + 1):
+        n_l = n_w - m + 1
+        planes = []
+        for r, c in zip(*np.triu_indices(m)):
+            products = x[r : r + n_w + L - m] * x[c : c + n_w + L - m]
+            per_window = np.lib.stride_tricks.sliding_window_view(products, n_l)
+            nu = np.cumsum(per_window[:, ::-1], axis=1)[:, ::-1] / np.arange(n_l, 0, -1, dtype=float)
+            if cfg.use_log_star:
+                nu = _masked_log_star(nu)
+            planes.append(nu if r == c else nu * math.sqrt(2.0))
+        out.append(planes)
+    return out
+
+
+def pairwise_dissimilarity_matrix(paths, cfg):
+    """D from upper-triangle feature planes, one path's features and one pair at a time.
+
+    Each pair's squared plane differences are added one plane after another,
+    in np.triu_indices order.
+    """
+    n_paths = len(paths)
+    features = {}
+    out = np.zeros((n_paths, n_paths))
+    for i in range(n_paths):
+        for j in range(i + 1, n_paths):
+            K, L = cfg.windows(min(len(paths[i]), len(paths[j])))
+            for k in (i, j):
+                if (k, K, L) not in features:
+                    features[k, K, L] = _single_path_planes(np.diff(paths[k].values), K + 1, L, cfg)
+            weights = [float(cfg.weight_rule(m)) * cfg.weight_rule(np.arange(1, K - m + 3))
+                       for m in range(1, cfg.mn_rule(K + 1) + 1)]
+            per_window = 0.0
+            for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
+                sq = (a[0] - b[0]) ** 2
+                for pa, pb in zip(a[1:], b[1:]):
+                    sq = sq + (pa - pb) ** 2
+                per_window = per_window + np.sqrt(sq) @ w
             out[i, j] = out[j, i] = float(np.sum(per_window)) / L
     return out
 

@@ -28,7 +28,12 @@ from covclust import (
 from covclust import dissimilarity
 from covclust.dissimilarity import _features, _window_covs
 
-from naive_oracles import naive_d_hat, naive_nu, pairwise_dissimilarity_matrix
+from naive_oracles import (
+    fullstorage_dissimilarity_matrix,
+    naive_d_hat,
+    naive_nu,
+    pairwise_dissimilarity_matrix,
+)
 
 
 def rng_increments(seed, n):
@@ -134,14 +139,15 @@ def test_empirical_cov_matches_naive():
             np.testing.assert_allclose(
                 empirical_cov(x, l, m), naive_nu(v, l, m), rtol=1e-12
             )
-    # The single slice it computes is bitwise the matching slice of the whole stack.
+    # The single slice it computes is bitwise the matching entries of the whole stack.
     for n in (3, 10, 57, 305):
         v = rng.standard_normal(n)
         x = IncrementPath(v)
         for m in range(1, min(n, 6) + 1):
-            stack = _window_covs(v, n, 1, m)[0]
+            planes = _window_covs(v, n, 1, m)
             for l in range(1, n - m + 2):
-                assert np.array_equal(empirical_cov(x, l, m), stack[l - 1])
+                upper = empirical_cov(x, l, m)[np.triu_indices(m)]
+                assert np.array_equal(planes[:, 0, l - 1], upper)
 
 
 def test_empirical_cov_rejects_empty_range():
@@ -298,6 +304,24 @@ def test_d_tilde_star_scaling_oracle():
     assert d_tilde_star(z1, z2, H, H, cfg) == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("use_log_star", [False, True])
+def test_d_tilde_star_per_window_scales(use_log_star):
+    # L > 1 windows, each with its own scale delta_t ** H(t_i) under a monotonic H
+    n, K, L = 24, 8, 9
+    H1 = HurstFunction.monotonic(-0.3, 1.0)
+    H2 = HurstFunction.monotonic(0.3, 1.0)
+    z1 = sample_path(H1, n, 1.0 / n, seed=(18, 0))
+    z2 = sample_path(H2, n, 1.0 / n, seed=(18, 1))
+    cfg = DissimConfig(K=K, L=L, use_log_star=use_log_star)
+    expected = np.mean([
+        naive_d_hat(np.diff(z1.values[i - 1 : i + K + 1]) / z1.delta_t ** H1(z1.time_of(i)),
+                    np.diff(z2.values[i - 1 : i + K + 1]) / z2.delta_t ** H2(z2.time_of(i)),
+                    use_log_star=use_log_star)
+        for i in range(1, L + 1)
+    ])
+    assert d_tilde_star(z1, z2, H1, H2, cfg) == pytest.approx(expected, rel=1e-12)
+
+
 def test_d_tilde_star_self_zero():
     H = HurstFunction.constant(0.4)
     z = SamplePath("a", np.random.default_rng(16).standard_normal(9), delta_t=0.25)
@@ -383,25 +407,44 @@ def test_dissimilarity_matrix_counter_exact_on_ragged_paths(cfg):
     assert counter.rho == expected
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 10_000), st.lists(st.integers(5, 30), min_size=2, max_size=6),
-       st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
-def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle(seed, lengths, set_K, set_L,
-                                                             use_log_star, duplicate, flat):
+def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, scale=1.0):
     rng = np.random.default_rng(seed)
-    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate(lengths)]
+    paths = [SamplePath(f"p{i}", scale * rng.standard_normal(n)) for i, n in enumerate(lengths)]
     if flat:
         # every increment of the first path is exactly zero, half of the second's
-        paths[0] = SamplePath("flat", np.full(lengths[0], 1.5))
-        paths[1] = SamplePath("steps", np.repeat(rng.standard_normal(lengths[1]), 2)[: lengths[1]])
+        paths[0] = SamplePath("flat", np.full(lengths[0], 1.5 * scale))
+        steps = scale * rng.standard_normal(lengths[1])
+        paths[1] = SamplePath("steps", np.repeat(steps, 2)[: lengths[1]])
     if duplicate:
         paths.insert(1, paths[-1])
     n_min = min(lengths)
     K = int(rng.integers(1, n_min - 1)) if set_K else None
     L = int(rng.integers(1, n_min - (n_min - 2 if K is None else K))) if set_L else None
-    cfg = DissimConfig(K=K, L=L, use_log_star=use_log_star)
+    return paths, DissimConfig(K=K, L=L, use_log_star=use_log_star)
+
+
+_ORACLE_CASES = st.tuples(st.integers(0, 10_000),
+                          st.lists(st.integers(5, 30), min_size=2, max_size=6),
+                          st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ORACLE_CASES)
+def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle(case):
+    paths, cfg = _oracle_case(*case)
     D = dissimilarity_matrix(paths, cfg)
     assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ORACLE_CASES, st.sampled_from([1e-6, 1.0, 1e6]))
+def test_dissimilarity_matrix_matches_fullstorage_oracle(case, scale):
+    # storing each nu entry once, off-diagonals times sqrt(2), changes D by rounding only
+    paths, cfg = _oracle_case(*case, scale=scale)
+    D = dissimilarity_matrix(paths, cfg)
+    full = fullstorage_dissimilarity_matrix(paths, cfg)
+    np.testing.assert_allclose(D, full, rtol=1e-13, atol=0)
+    assert np.array_equal(D == 0.0, full == 0.0)
 
 
 @pytest.mark.parametrize("lengths", [(20,) * 12, (20, 12, 20, 14, 20, 12, 18, 20, 16, 20)])

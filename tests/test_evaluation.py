@@ -234,6 +234,24 @@ def test_run_experiment_deterministic():
         assert 0.0 <= rate <= 1.0
 
 
+# Rates of the default experiment at seed 0, as `covclust experiment` writes
+# them (".17g"); a change to the hot layer must leave them byte for byte.
+GOLDEN_RATES = {
+    ("offline", "mono"): ["0.56000000000000005", "0.64000000000000001", "0.12", "0"],
+    ("offline", "sin"): ["0.68000000000000005", "0.20000000000000001", "0", "0"],
+    ("online", "mono"): ["0.6333333333333333", "0.42857142857142855", "0.26000000000000001", "0"],
+    ("online", "sin"): ["0.59999999999999998", "0.25714285714285712", "0", "0"],
+}
+
+
+@pytest.mark.parametrize("mode, case", sorted(GOLDEN_RATES))
+def test_run_experiment_golden_rates(mode, case):
+    ec = ExperimentConfig(case=case, mode=mode)
+    rows = run_experiment(ec)
+    assert [(seed, t) for seed, t, _ in rows] == [(0, t) for t in ec.epochs]
+    assert [format(rate, ".17g") for _, _, rate in rows] == GOLDEN_RATES[mode, case]
+
+
 def test_run_experiment_separated_constant_h():
     # two well-separated constant-Hurst groups must be perfectly recovered
     ec = ExperimentConfig(
