@@ -3,6 +3,13 @@
 t_index is a 0-based contiguous integer per series; values round-trip through
 17-significant-digit decimal text. Ragged collections (unequal lengths) are
 legal for online use only.
+
+Files are read in bulk when they are plain text with each series one
+contiguous run of rows, as `write_series` writes them: the text is split at
+commas and newlines, and a series whose t_index text is "0", "1", ... needs no
+index parse. Files with quotes, CR or NUL characters, blank lines, interleaved
+series or any schema error are read row by row. Both reads give the same
+paths and the same errors.
 """
 
 from __future__ import annotations
@@ -10,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +25,9 @@ import numpy as np
 from .processes import SamplePath
 
 HEADER = ["series_id", "t_index", "value"]
+_HEADER_LINE = ",".join(HEADER) + "\n"
+_CHUNK_CHARS = 1 << 16  # text split into fields at a time, below csv's default field limit
+_NOT_MARKS = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
 
 
 class SchemaError(ValueError):
@@ -33,24 +44,29 @@ def _quoted(field: str) -> str:
 def write_series(paths, destination) -> None:
     """Write paths in long format, one `id,i,value` line per value.
 
-    Each path becomes one joined string, with its id quoted once as the
-    csv module quotes it and each value in 17-significant-digit text.
+    Each path becomes one `%` operation: the id, quoted once as the csv
+    module quotes it, joined over `,i,%.17g` tails, formats the whole tuple
+    of values in 17-significant-digit text.
     """
     destination = Path(destination)
+    tails = [""]  # tails[i + 1] is the format of value i, after the id
     with destination.open("w", newline="") as fh:
-        fh.write(",".join(HEADER) + "\n")
+        fh.write(_HEADER_LINE)
         for p in paths:
-            sid = _quoted(p.id)
-            fh.write("".join([f"{sid},{i},{v:.17g}\n" for i, v in enumerate(p.values.tolist())]))
+            values = tuple(p.values.tolist())
+            tails.extend(f",{i},%.17g\n" for i in range(len(tails) - 1, len(values)))
+            sid = _quoted(p.id).replace("%", "%%")
+            fh.write(sid.join(tails[: len(values) + 1]) % values)
 
 
 def read_series(source, ragged_ok: bool = False) -> list:
     """Parse a series file into SamplePaths, ordered by first appearance.
 
-    One csv pass splits the rows into per-series text columns; each column is
-    converted as a whole, checked with numpy and ordered by t_index. A file
-    that fails any check is read again by `_read_checked`, whose row-by-row
-    checks define every SchemaError and raise the first one.
+    A plain file as `write_series` writes it (no quotes, CR, NUL or blank
+    lines, each series one contiguous run of rows) is split with `str.split`
+    a chunk of lines at a time and converted a run at a time. Any other file,
+    and any file that fails a check, is read again by `_read_checked`, whose
+    row-by-row checks define every SchemaError and raise the first one.
     """
     source = Path(source)
     paths = _read_columns(source, ragged_ok)
@@ -58,41 +74,68 @@ def read_series(source, ragged_ok: bool = False) -> list:
 
 
 def _read_columns(source: Path, ragged_ok: bool):
-    """The paths of a valid file, or None if any schema check would fail."""
-    columns: dict[str, tuple[list, list]] = {}
-    with source.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != HEADER:
+    """The paths of a plain, valid file, or None if it is not plain or any check would fail."""
+    try:
+        with source.open(newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    start = text.find("\n") + 1
+    if text[:start] != _HEADER_LINE:
+        return None
+    end = len(text) - text.endswith("\n")
+    limit = csv.field_size_limit()
+    canonical: list[str] = []  # canonical[i] == str(i)
+    runs: dict[str, list] = {}  # id -> [(offset, t_index or None if canonical, values)]
+    sid = None
+    while start < end:
+        stop = text.find("\n", start + _CHUNK_CHARS, end)
+        chunk = text[start : end if stop < 0 else stop]
+        start += len(chunk) + 1
+        # Reduced to commas, newlines, quotes, CRs and NULs, a plain chunk reads
+        # ",,\n" per row: with none of the last three, each csv row is one line
+        # split at its commas (UTF-8 puts no ASCII byte inside another character).
+        marks = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_MARKS)
+        rows = len(marks) // 3 + 1
+        if marks != b",,\n" * (rows - 1) + b",,":
+            return None
+        if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
+            return None  # csv refuses a field this long
+        fields = chunk.replace("\n", ",").split(",")
+        t_text, v_text = fields[1::3], fields[2::3]
+        row = 0
+        for run_id, run in groupby(fields[0::3]):
+            count = len(list(run))
+            if run_id != sid:
+                if run_id in runs:
+                    return None  # not one contiguous run
+                sid, offset, pieces = run_id, 0, runs.setdefault(run_id, [])
+            t_run, v_run = t_text[row : row + count], v_text[row : row + count]
+            row += count
+            canonical.extend(map(str, range(len(canonical), offset + count)))
+            try:
+                values = np.fromiter(map(float, v_run), float, count)
+                t_index = (None if t_run == canonical[offset : offset + count]
+                           else np.fromiter(map(int, t_run), np.int64, count))
+            except (ValueError, OverflowError):
                 return None
-            for row in reader:
-                if len(row) == 3:
-                    sid, t_text, v_text = row
-                    try:
-                        column = columns[sid]
-                    except KeyError:
-                        column = columns[sid] = ([], [])
-                    column[0].append(t_text)
-                    column[1].append(v_text)
-                elif row:
-                    return None
-        except (csv.Error, UnicodeDecodeError):
-            # a schema error on an earlier row must win, as in _read_checked
-            return None
+            pieces.append((offset, t_index, values))
+            offset += count
     paths = []
-    for sid, (t_text, v_text) in columns.items():
-        n = len(t_text)
-        try:
-            t_index = np.fromiter(map(int, t_text), np.int64, n)
-            values = np.fromiter(map(float, v_text), float, n)
-        except (ValueError, OverflowError):
+    for sid, pieces in runs.items():
+        values = np.concatenate([v for _, _, v in pieces])
+        n = len(values)
+        if any(t is not None for _, t, _ in pieces):
+            t_index = np.concatenate([np.arange(o, o + len(v)) if t is None else t
+                                      for o, t, v in pieces])
+            order = np.argsort(t_index)
+            # sorted indexes equal to 0..n-1: none negative, duplicated or missing
+            if not np.array_equal(t_index[order], np.arange(n)):
+                return None
+            values = values[order]
+        if n < 2 or not np.isfinite(values).all():
             return None
-        order = np.argsort(t_index)
-        # sorted indexes equal to 0..n-1: none negative, duplicated or missing
-        contiguous = np.array_equal(t_index[order], np.arange(n))
-        if n < 2 or not contiguous or not np.isfinite(values).all():
-            return None
-        paths.append(SamplePath(id=sid, values=values[order]))
+        paths.append(SamplePath(id=sid, values=values))
     if not paths or (len({len(p) for p in paths}) > 1 and not ragged_ok):
         return None
     return paths

@@ -3,10 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from covclust import SamplePath, processes
 from covclust.cli import main
-from covclust.seriesio import SchemaError, read_series, write_series
+from covclust.seriesio import SchemaError, _read_columns, read_series, write_series
 
 from naive_oracles import rowwise_read_series, rowwise_write_series
 
@@ -70,7 +71,7 @@ def test_schema_rejects_duplicates_and_gaps(tmp_path):
 # series files against the row-by-row reference writer and reader
 # ---------------------------------------------------------------------------
 
-AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp"]
+AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp", "50%", "%d", "%(x)s", "%%"]
 AWKWARD_VALUES = [-0.0, 5e-324, 1e308, -1.5, 1 / 3]
 
 
@@ -96,6 +97,20 @@ READ_CORPUS = [
     pytest.param(HEAD + "a,0,1\na,1,abc\n", False, "line 3: non-numeric", id="non-numeric"),
     pytest.param(HEAD + "a,0,1\na,x,2\na,1\n", False, "line 3: non-integer",
                  id="bad-index-before-two-columns"),
+    # six commas for two rows, but four fields in the first
+    pytest.param(HEAD + "a,0,1.5,b\n1,2.5\n", False, "line 2: expected 3 columns, got 4",
+                 id="misaligned-columns"),
+    # split at every comma, these fields read as the valid series a = (1, 2)
+    pytest.param(HEAD + "a,0,1,a\n1,2\n", False, "line 2: expected 3 columns, got 4",
+                 id="misaligned-columns-valid-fields"),
+    # each index is canonical within its run of rows
+    pytest.param(HEAD + "a,0,1\nb,0,5\nb,1,6\na,0,2\n", False, "line 5: duplicate",
+                 id="duplicate-in-second-run"),
+    pytest.param(HEAD + "a,00,1\na,+1,2\na, 2,3\n", False, None, id="non-canonical-index"),
+    pytest.param(HEAD + "a,0,1\na,1,2", False, None, id="no-final-newline"),
+    pytest.param("series_id,t_index,value\ra,0,1\ra,1,2\r", False, None, id="lone-cr"),
+    pytest.param("series_id,t_index,value,\na,0,1\na,1,2\n", False, "line 1: expected header",
+                 id="header-trailing-comma"),
     # the undecodable byte lies beyond the first block the file object decodes
     pytest.param(HEAD + "a,0,1\na,x,2\n" + "".join(f"b,{i},1\n" for i in range(3000))
                  + "b,3000,\udcff\n", False, "line 3: non-integer",
@@ -139,6 +154,55 @@ def test_read_series_matches_rowwise_reader_on_awkward_ids(tmp_path):
     got = _read_outcome(read_series, f, False)
     assert got == _read_outcome(rowwise_read_series, f, False)
     assert [sid for sid, _ in got] == AWKWARD_IDS
+    # ids csv leaves unquoted keep a file plain, so it takes the string-split read
+    plain_ids = [sid for sid in AWKWARD_IDS if not set(sid) & set(',"\n')]
+    plain = tmp_path / "plain.csv"
+    write_series([SamplePath(sid, np.array(AWKWARD_VALUES)) for sid in plain_ids], plain)
+    got = _read_outcome(read_series, plain, False)
+    assert got == _read_outcome(rowwise_read_series, plain, False)
+    assert [sid for sid, _ in got] == plain_ids
+    assert _read_columns(plain, False) is not None
+
+
+def test_read_series_matches_rowwise_reader_across_chunks(tmp_path):
+    # 3 x 3000 rows, several chunks of text: series 1 crosses chunk boundaries
+    rng = np.random.default_rng(3)
+    f = tmp_path / "long.csv"
+    write_series([SamplePath(f"s{k}", rng.standard_normal(3000)) for k in range(3)], f)
+    head, *rows = f.read_text().splitlines(keepends=True)
+    variants = {
+        "as-written": rows,
+        "first-two-swapped": rows[:3000] + [rows[3001], rows[3000]] + rows[3002:],
+        "last-two-swapped": rows[:5998] + [rows[5999], rows[5998]] + rows[6000:],
+        "reversed": rows[:3000] + rows[5999:2999:-1] + rows[6000:],
+        "duplicate-late": rows[:5999] + [rows[5999].replace(",2999,", ",0,")] + rows[6000:],
+    }
+    for name, body in variants.items():
+        g = tmp_path / f"{name}.csv"
+        g.write_text(head + "".join(body))
+        got = _read_outcome(read_series, g, False)
+        assert got == _read_outcome(rowwise_read_series, g, False), name
+        # every valid variant takes the string-split read, not the row-by-row one
+        assert (_read_columns(g, False) is not None) == (name != "duplicate-late"), name
+
+
+SERIES_IDS = st.text(st.sampled_from(list(',"\n\r% ab_')), max_size=6)
+SERIES_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
+                          st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(SERIES_IDS, st.lists(SERIES_VALUES, min_size=2, max_size=40)),
+                min_size=1, max_size=6))
+def test_series_round_trip_matches_rowwise(tmp_path_factory, cases):
+    paths = [SamplePath(sid, np.array(values)) for sid, values in cases]
+    d = tmp_path_factory.mktemp("round-trip")
+    write_series(paths, d / "joined.csv")
+    rowwise_write_series(paths, d / "rowwise.csv")
+    assert (d / "joined.csv").read_bytes() == (d / "rowwise.csv").read_bytes()
+    for ragged_ok in (False, True):
+        got = _read_outcome(read_series, d / "joined.csv", ragged_ok)
+        assert got == _read_outcome(rowwise_read_series, d / "joined.csv", ragged_ok)
 
 
 # ---------------------------------------------------------------------------
