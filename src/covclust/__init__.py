@@ -4,7 +4,6 @@ from .dissimilarity import (
     DissimConfig,
     IncrementPath,
     OpCounter,
-    analytic_d,
     d_hat,
     d_hat_rho_count,
     d_star_hat,
@@ -12,11 +11,8 @@ from .dissimilarity import (
     default_mn,
     default_weights,
     dissimilarity_matrix,
-    empirical_cov,
     increment_path,
-    localized_increments,
     log_star,
-    rho,
 )
 from .evaluation import (
     ExperimentConfig,
@@ -24,13 +20,12 @@ from .evaluation import (
     aggregate_rates,
     build_offline_dataset,
     build_online_dataset,
-    ground_truth_restrict,
     misclassification_rate,
     run_experiment,
 )
 from .hurst import HurstDomainError, HurstFunction
 from .offline import Clustering, offline_cluster
-from .online import default_beta, online_cluster
+from .online import online_cluster
 from .processes import (
     FactorizationError,
     SamplePath,

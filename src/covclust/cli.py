@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.add_argument("--kappa", type=int, required=True)
     clu.add_argument("--log-star", dest="log_star", action="store_true")
     clu.add_argument("--K", type=int, default=None)
-    clu.add_argument("--L", type=int, default=1)
+    clu.add_argument("--L", type=int, default=None)
     clu.add_argument("--workers", type=int, default=1, help=_SERIAL_HELP)
     clu.set_defaults(func=cmd_cluster)
 

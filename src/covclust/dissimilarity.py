@@ -3,8 +3,10 @@
 The empirical measure compares sliding-window empirical covariance matrices
 of two increment series under the Frobenius norm, with summable weights over
 window start and window size. The localized variant averages the measure over
-windows of consecutive increments of the raw paths; the normalized variant
-rescales each window by delta_t raised to the local Hurst value.
+windows of consecutive increments of the raw paths, laid out by
+`DissimConfig.windows`, the one rule that library, CLI and experiment share;
+the normalized variant rescales each window by delta_t raised to the local
+Hurst value.
 
 Every measure goes through one kernel. A path's features are the empirical
 covariances nu(l, m) of each of its windows, log*-transformed when configured.
@@ -24,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .hurst import HurstFunction
-from .processes import SamplePath, fbm_increment_cov_matrix
+from .processes import SamplePath
 
 # Bytes of features a row's pairs are reduced against at once, and of features
 # log* runs over at once; it bounds the temporaries of one reduction and of
@@ -56,21 +57,19 @@ class DissimConfig:
 
     Window i (1-based) of a pair holds the K+1 increments of samples i..i+K+1
     and L windows are averaged, n_min being the shorter path's length. K=None
-    resolves to n_min - 2 and L=None to every window, n_min - K - 1, so the
-    defaults give one window spanning the whole increment series (K = n-2,
-    L = 1). The synthetic experiment resolves an unset K to floor(sqrt(n_min))
-    instead, with every window (see `evaluation.epoch_dissim`).
+    resolves to floor(sqrt(n_min)), so the windows grow with n but stay local
+    (K/n -> 0), and L=None to every window, n_min - K - 1. Window sizes run
+    over m = 1..default_mn(K+1) and carry the weights default_weights(m) times
+    default_weights(l) of their starts l.
     """
 
-    weight_rule: Callable = default_weights
-    mn_rule: Callable = default_mn
     K: int | None = None
     L: int | None = None
     use_log_star: bool = False
 
     def windows(self, n_min: int) -> tuple[int, int]:
         """The (K, L) used on a pair whose shorter path has n_min values."""
-        k = n_min - 2 if self.K is None else self.K
+        k = math.isqrt(n_min) if self.K is None else self.K
         if k < 1:
             raise ValueError(f"window length K={k} infeasible for paths of length {n_min}")
         n_windows = n_min - k - 1
@@ -126,37 +125,6 @@ def log_star(x, out=None):
     return float(a) if a.ndim == 0 else a
 
 
-def rho(m1: np.ndarray, m2: np.ndarray, use_log_star: bool = False,
-        counter: OpCounter | None = None) -> float:
-    """Frobenius norm of the difference of two equal-sized matrices."""
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    if m1.shape != m2.shape:
-        raise ValueError(f"matrix shapes differ: {m1.shape} vs {m2.shape}")
-    if use_log_star:
-        m1 = log_star(m1)
-        m2 = log_star(m2)
-    if counter is not None:
-        counter.rho += 1
-    return float(np.sqrt(np.sum((m1 - m2) ** 2)))
-
-
-def empirical_cov(x: IncrementPath, l: int, m: int) -> np.ndarray:
-    """Empirical m x m covariance of the windows starting at l, l+1, ..., n-m+1 (1-based).
-
-    The divisor is the number of averaged windows, n - m - l + 2; the boundary
-    case l = n - m + 1 is a single outer product.
-    """
-    n = len(x)
-    if l < 1 or m < 1 or l + m - 1 > n or n - m - l + 2 < 1:
-        raise ValueError(f"empty summation range for (l={l}, m={m}) on a path of length {n}")
-    entries = _window_covs(x.values[l - 1 :], n - l + 1, 1, m)[:, 0, 0]
-    rows, cols = np.triu_indices(m)
-    out = np.empty((m, m))
-    out[rows, cols] = out[cols, rows] = entries
-    return out
-
-
 def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
     """Upper-triangle entries of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w].
 
@@ -186,7 +154,7 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
     configured, then the off-diagonal planes are multiplied by sqrt(2).
     """
     out = []
-    for m in range(1, cfg.mn_rule(n_w) + 1):
+    for m in range(1, default_mn(n_w) + 1):
         nu = _window_covs(x, n_w, L, m)
         if scales is not None:
             nu /= (scales * scales)[..., None, :, None]
@@ -203,10 +171,10 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
     return out
 
 
-def _weights(n_w: int, cfg: DissimConfig) -> list:
+def _weights(n_w: int) -> list:
     """Per window size m = 1..m_n: the weights w(m) w(l) of the starts l = 1..n_w-m+1."""
-    return [float(cfg.weight_rule(m)) * cfg.weight_rule(np.arange(1, n_w - m + 2))
-            for m in range(1, cfg.mn_rule(n_w) + 1)]
+    return [float(default_weights(m)) * default_weights(np.arange(1, n_w - m + 2))
+            for m in range(1, default_mn(n_w) + 1)]
 
 
 def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
@@ -232,12 +200,16 @@ def _pair(x1: np.ndarray, x2: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
     """Mean of d_hat over the L windows of n_w increments that x1 and x2 start."""
     x = np.stack([x1[: n_w + L - 1], x2[: n_w + L - 1]])
     f = _features(x, n_w, L, cfg, None if scales is None else np.stack(scales))
-    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w, cfg))[0])
+    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w))[0])
 
 
 def d_hat_rho_count(n: int, cfg: DissimConfig) -> int:
-    """Closed form for the number of rho evaluations in one d_hat call."""
-    m_n = cfg.mn_rule(n)
+    """Closed form for the number of rho evaluations in one d_hat call.
+
+    The count depends on n alone; cfg is accepted so that callers pass the
+    configuration they measure, and does not change it.
+    """
+    m_n = default_mn(n)
     return sum(n - m + 1 for m in range(1, m_n + 1))
 
 
@@ -255,14 +227,6 @@ def d_hat(x1: IncrementPath, x2: IncrementPath, cfg: DissimConfig = DissimConfig
     if counter is not None:
         counter.rho += d_hat_rho_count(n, cfg)
     return _pair(x1.values, x2.values, n, 1, cfg)
-
-
-def localized_increments(z: SamplePath, i: int, K: int) -> IncrementPath:
-    """The K+1 consecutive increments of z anchored at sample index i (1-based)."""
-    n = len(z)
-    if i < 1 or i + K + 1 > n:
-        raise ValueError(f"window (i={i}, K={K}) overruns a path of length {n}")
-    return IncrementPath(np.diff(z.values[i - 1 : i + K + 1]))
 
 
 def _localized(z1: SamplePath, z2: SamplePath, cfg: DissimConfig, counter: OpCounter | None,
@@ -298,26 +262,6 @@ def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFun
     return _localized(z1, z2, cfg, counter, scales)
 
 
-def analytic_d(h1: float, h2: float, var1: float, var2: float, truncation: int = 100,
-               use_log_star: bool = False,
-               weight_rule: Callable = default_weights) -> float:
-    """Truncated theoretical dissimilarity between two fBm-increment covariance structures.
-
-    The population covariance of consecutive fBm increments is stationary, so
-    the Frobenius term depends on the window size m only and the double series
-    factorizes into (sum of start weights) * (weighted sum over sizes).
-    """
-    if truncation < 1:
-        raise ValueError("truncation must be >= 1")
-    w = weight_rule(np.arange(1, truncation + 1))
-    total = 0.0
-    for m in range(1, truncation + 1):
-        c1 = fbm_increment_cov_matrix(h1, var1, m)
-        c2 = fbm_increment_cov_matrix(h2, var2, m)
-        total += w[m - 1] * rho(c1, c2, use_log_star=use_log_star)
-    return float(np.sum(w)) * total
-
-
 def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                          counter: OpCounter | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise d_star_hat values with a zero diagonal.
@@ -345,7 +289,7 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
         slot[members] = np.arange(members.size)
         stack = np.stack([np.diff(paths[k].values[: K + L + 1]) for k in members])
         features = _features(stack, K + 1, L, cfg)
-        weights = _weights(K + 1, cfg)
+        weights = _weights(K + 1)
         tile = max(1, _TILE_BYTES // sum(f[0].nbytes for f in features))
         for i in members:
             row = [f[slot[i]] for f in features]

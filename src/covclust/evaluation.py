@@ -5,17 +5,16 @@ offline datasets truncate every path to its first 3t+5 values; online
 datasets additionally grow the number of visible paths per group by one every
 10 epochs, interleaving groups in a fixed global arrival order.
 
-Each epoch is clustered with the paper's localized measure d_star_hat. Unless
-the configuration fixes them, its windows hold K+1 consecutive increments with
-K = floor(sqrt(n_min)), and all n_min - K - 1 windows are averaged, n_min
-being the length of the epoch's shortest path.
+Each epoch is clustered with the paper's localized measure d_star_hat, its
+windows resolved once, by `DissimConfig.windows`, on the length n_min of the
+epoch's shortest path: unless the configuration fixes them, K =
+floor(sqrt(n_min)) and all n_min - K - 1 windows are averaged.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,16 +44,6 @@ class GroundTruth:
         present = np.unique(labels)
         if present.size == 0 or present.min() < 0 or present.max() >= self.kappa:
             raise ValueError("ground-truth labels must lie in 0..kappa-1")
-
-
-def ground_truth_restrict(g: GroundTruth, n: int) -> GroundTruth:
-    """Truth restricted to the first n paths, with empty groups dropped."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    head = g.labels[:n]
-    present = np.unique(head)
-    remap = {int(old): new for new, old in enumerate(present)}
-    return GroundTruth(kappa=present.size, labels=np.array([remap[int(v)] for v in head]))
 
 
 def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
@@ -89,7 +78,8 @@ class ExperimentConfig:
     """Parameters of one synthetic clustering experiment.
 
     `dissim` leaves K and L unset by default, so that every epoch uses the
-    localized windows of `epoch_dissim`: K = floor(sqrt(n_min)), all windows.
+    default windows of `DissimConfig.windows`: K = floor(sqrt(n_min)), all
+    windows.
     """
 
     case: str = "mono"  # "mono" | "sin"
@@ -191,41 +181,29 @@ def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
     return tuple(paths), GroundTruth(kappa=ec.kappa, labels=np.array(labels))
 
 
-def epoch_dissim(cfg: DissimConfig, n_min: int) -> DissimConfig:
-    """The estimator of an epoch whose shortest path has n_min values.
-
-    An unset K becomes floor(sqrt(n_min)): the windows grow with n but stay
-    local (K/n -> 0). An unset L becomes every window, n_min - K - 1. A K or L
-    that is set is kept, so one K and L serve every pair of the epoch.
-    """
-    K = math.isqrt(n_min) if cfg.K is None else cfg.K
-    L = n_min - K - 1 if cfg.L is None else cfg.L
-    return replace(cfg, K=K, L=L)
-
-
 def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
-    Each epoch runs `epoch_dissim(ec.dissim, n_min)` on its shortest path's
-    length; with the default configuration that is K = floor(sqrt(n_min)) and
-    every window.
+    Each epoch pins the windows `ec.dissim.windows(n_min)` resolves on its
+    shortest path's length, so one K and L serve every pair of the epoch; with
+    the default configuration that is K = floor(sqrt(n_min)) and every window.
     """
     if not ec.seeds:
         raise ValueError("at least one seed is required")
+    if ec.mode not in ("offline", "online"):
+        raise ValueError(f"unknown mode {ec.mode!r}")
+    build = build_offline_dataset if ec.mode == "offline" else build_online_dataset
     rows = []
     for seed in ec.seeds:
         for t in ec.epochs:
+            paths, truth = build(ec, t, seed)
+            K, L = ec.dissim.windows(min(len(p) for p in paths))
+            cfg = replace(ec.dissim, K=K, L=L)
             if ec.mode == "offline":
-                paths, truth = build_offline_dataset(ec, t, seed)
-                cfg = epoch_dissim(ec.dissim, min(len(p) for p in paths))
                 D = dissimilarity_matrix(paths, cfg, counter=counter)
                 clustering = offline_cluster(D, ec.kappa)
-            elif ec.mode == "online":
-                paths, truth = build_online_dataset(ec, t, seed)
-                cfg = epoch_dissim(ec.dissim, min(len(p) for p in paths))
-                clustering = online_cluster(paths, ec.kappa, cfg, counter=counter)
             else:
-                raise ValueError(f"unknown mode {ec.mode!r}")
+                clustering = online_cluster(paths, ec.kappa, cfg, counter=counter)
             rows.append((seed, t, misclassification_rate(clustering, truth)))
     return rows
 

@@ -64,7 +64,7 @@ class HurstFunction:
         """Evaluate H(t) for the functional variants.
 
         Tabulated functions are indexed by sampling instant, not by time; use
-        :meth:`value_at` for those.
+        :meth:`values_on` for those.
         """
         if self.kind == CONSTANT:
             return self.h
@@ -79,14 +79,6 @@ class HurstFunction:
         else:
             raise ValueError(f"unknown Hurst variant {self.kind!r}")
         return _check_open_unit(value, f"H({t})")
-
-    def value_at(self, i: int) -> float:
-        """Tabulated value at sampling instant i (0-based)."""
-        if self.kind != TABULATED:
-            raise TypeError("value_at only applies to tabulated Hurst functions")
-        if not (0 <= i < len(self.values)):
-            raise IndexError(f"instant {i} out of range for {len(self.values)} tabulated values")
-        return self.values[i]
 
     def values_on(self, times) -> np.ndarray:
         """H evaluated along a sampling grid, one value per instant."""

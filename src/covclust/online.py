@@ -17,12 +17,7 @@ from .dissimilarity import DissimConfig, OpCounter, default_weights, dissimilari
 from .offline import Clustering, offline_cluster
 
 
-def default_beta(j):
-    """Default prefix weights, same summable decay family as the window weights."""
-    return default_weights(j)
-
-
-def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(), beta=default_beta,
+def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(),
                    counter: OpCounter | None = None,
                    D: np.ndarray | None = None) -> Clustering:
     """Cluster the sample paths visible at one epoch, in arrival order, into kappa groups.
@@ -43,7 +38,7 @@ def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(), beta=d
         # Every label occurs, and its first index is that cluster's minimal member.
         prefix = offline_cluster(D[:j, :j], kappa)
         candidates.append(np.sort(np.unique(prefix.labels, return_index=True)[1]))
-        weights.append(float(beta(j)))
+        weights.append(float(default_weights(j)))
 
     cand_idx = np.array(candidates)          # (num_prefixes, kappa)
     # Each prefix's gamma: the minimal separation between its candidates.

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_vec
 
+from covclust.dissimilarity import default_mn, default_weights
 from covclust.offline import Clustering
-from covclust.online import default_beta
 from covclust.processes import SamplePath, d_factor
 from covclust.seriesio import HEADER, SchemaError
 
@@ -63,7 +63,7 @@ def _masked_log_star(arr):
 def _single_path_features(x, n_w, L, cfg):
     """Per window size m: the (L, n_w-m+1, m*m) covariances of one path's windows."""
     out = []
-    for m in range(1, cfg.mn_rule(n_w) + 1):
+    for m in range(1, default_mn(n_w) + 1):
         n_l = n_w - m + 1
         subs = np.lib.stride_tricks.sliding_window_view(x[: n_w + L - 1], m)
         outers = subs[:, :, None] * subs[:, None, :]
@@ -91,8 +91,8 @@ def fullstorage_dissimilarity_matrix(paths, cfg):
             for k in (i, j):
                 if (k, K, L) not in features:
                     features[k, K, L] = _single_path_features(np.diff(paths[k].values), K + 1, L, cfg)
-            weights = [float(cfg.weight_rule(m)) * cfg.weight_rule(np.arange(1, K - m + 3))
-                       for m in range(1, cfg.mn_rule(K + 1) + 1)]
+            weights = [float(default_weights(m)) * default_weights(np.arange(1, K - m + 3))
+                       for m in range(1, default_mn(K + 1) + 1)]
             per_window = 0.0
             for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
                 diff = a - b
@@ -109,7 +109,7 @@ def _single_path_planes(x, n_w, L, cfg):
     after log*.
     """
     out = []
-    for m in range(1, cfg.mn_rule(n_w) + 1):
+    for m in range(1, default_mn(n_w) + 1):
         n_l = n_w - m + 1
         planes = []
         for r, c in zip(*np.triu_indices(m)):
@@ -138,8 +138,8 @@ def pairwise_dissimilarity_matrix(paths, cfg):
             for k in (i, j):
                 if (k, K, L) not in features:
                     features[k, K, L] = _single_path_planes(np.diff(paths[k].values), K + 1, L, cfg)
-            weights = [float(cfg.weight_rule(m)) * cfg.weight_rule(np.arange(1, K - m + 3))
-                       for m in range(1, cfg.mn_rule(K + 1) + 1)]
+            weights = [float(default_weights(m)) * default_weights(np.arange(1, K - m + 3))
+                       for m in range(1, default_mn(K + 1) + 1)]
             per_window = 0.0
             for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
                 sq = (a[0] - b[0]) ** 2
@@ -182,7 +182,7 @@ def memberwise_offline_cluster(D, kappa):
     return Clustering(kappa=kappa, labels=labels, centers=tuple(centers))
 
 
-def prefixwise_online_cluster(D, kappa, beta=default_beta):
+def prefixwise_online_cluster(D, kappa):
     """The online vote with one farthest-first run per prefix, candidates read off member lists.
 
     Each prefix is clustered by memberwise_offline_cluster; its candidates are
@@ -200,7 +200,7 @@ def prefixwise_online_cluster(D, kappa, beta=default_beta):
         candidates.append(cand)
         sub = D[np.ix_(cand, cand)]
         gammas.append(float(sub[np.triu_indices(kappa, 1)].min()) if kappa > 1 else 0.0)
-        weights.append(float(beta(j)))
+        weights.append(float(default_weights(j)))
     cand_idx = np.array(candidates)
     wg = np.array(weights) * np.array(gammas)
     eta = float(wg.sum())

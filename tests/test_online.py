@@ -5,7 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 from covclust import (
     DissimConfig,
     SamplePath,
-    default_beta,
     offline_cluster,
     online_cluster,
 )
@@ -68,13 +67,6 @@ def test_planted_separation_recovery(seed):
     assert partition(c) == frozenset(
         {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
     )
-
-
-def test_beta_scaling_invariance():
-    paths = make_paths(3, 7)
-    base = online_cluster(paths, 3)
-    scaled = online_cluster(paths, 3, beta=lambda j: 17.0 * default_beta(j))
-    assert np.array_equal(base.labels, scaled.labels)
 
 
 def test_eta_zero_fallback():
