@@ -37,4 +37,37 @@ from .processes import (
     sample_path,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Clustering",
+    "DissimConfig",
+    "ExperimentConfig",
+    "FactorizationError",
+    "GroundTruth",
+    "HurstDomainError",
+    "HurstFunction",
+    "IncrementPath",
+    "OpCounter",
+    "SamplePath",
+    "aggregate_rates",
+    "build_cov_matrix",
+    "build_offline_dataset",
+    "build_online_dataset",
+    "cholesky_with_jitter",
+    "d_factor",
+    "d_hat",
+    "d_hat_rho_count",
+    "d_star_hat",
+    "d_tilde_star",
+    "default_mn",
+    "default_weights",
+    "dissimilarity_matrix",
+    "fbm_increment_cov_matrix",
+    "increment_path",
+    "log_star",
+    "misclassification_rate",
+    "offline_cluster",
+    "online_cluster",
+    "run_experiment",
+    "sample_fbm_increments",
+    "sample_path",
+]

@@ -2,7 +2,9 @@
 
 Paths are sampled on the grid t_i = i*delta_t, i = 1..n (the process is
 degenerate at t = 0), by factorizing the population covariance matrix and
-pushing a seeded standard-normal vector through the factor.
+pushing a seeded standard-normal vector through the factor. The covariance's
+Gamma values come from `_gamma`, a numpy port of the cephes routine that
+scipy.special.gamma runs, so this module needs numpy only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma_vec
 
 from .hurst import HurstFunction
 
@@ -20,6 +21,28 @@ _JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # Rows per block of the covariance assembly. Each temporary then holds at
 # most _COV_BLOCK x n entries (4 MB at n = 2000) rather than n x n.
 _COV_BLOCK = 256
+# Cephes' rational approximation Gamma(2 + y) = P(y) / Q(y) on y in [0, 1).
+_GAMMA_P = (
+    1.60119522476751861407e-4,
+    1.19135147006586384913e-3,
+    1.04213797561761569935e-2,
+    4.76367800457137231464e-2,
+    2.07448227648435975150e-1,
+    4.94214826801497100753e-1,
+    9.99999999999999996796e-1,
+)
+_GAMMA_Q = (
+    -2.31581873324120129819e-5,
+    5.39605580493303397842e-4,
+    -4.45641913851797240494e-3,
+    1.18139785222060435552e-2,
+    3.58236398605498653373e-2,
+    -2.34591795718243348568e-1,
+    7.14304917030273074085e-2,
+    1.00000000000000000320e0,
+)
+# Elements per chunk of `_gamma`; its work buffers (128 KB each) stay in cache.
+_GAMMA_CHUNK = 1 << 14
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -74,6 +97,63 @@ def d_factor(t: float, s: float) -> float:
     return value
 
 
+def _gamma(x: np.ndarray) -> np.ndarray:
+    """Gamma on [1, 3], bit for bit as scipy.special.gamma computes it there.
+
+    A numpy port of cephes' `Gamma`, the routine behind scipy.special.gamma,
+    limited to the arguments of `build_cov_matrix`: 2H + 1 and H_i + H_j + 1,
+    which lie in [1, 3] because HurstFunction holds every H in (0, 1). Below 1,
+    where cephes steps up more than once, the result is wrong.
+
+    Each element takes cephes' operations in cephes' order. x >= 3 steps down
+    once (x -> x - 1, z = x); that changes no bit at 3 itself but keeps the
+    port exact up to 4. x < 2 takes z = 1/x and x -> x + 1. Then y = x - 2,
+    and the result is z * P(y) / Q(y), both by Horner's rule. So for x < 2,
+    y is (x + 1) - 2, which is not x - 1 bit for bit. At y = 0 the ratio is
+    exactly 1, so cephes' early return at x == 2 needs no branch.
+
+    The work runs in chunks of _GAMMA_CHUNK elements with in-place ufuncs on
+    preallocated buffers. The `test_gamma_matches_scipy_bitwise_*` tests in
+    tests/test_processes.py pin it to scipy byte for byte.
+    """
+    x = np.ascontiguousarray(x, dtype=float)
+    out = np.empty_like(x)
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    size = min(flat_x.size, _GAMMA_CHUNK)
+    y, z, p, q, low = (np.empty(size) for _ in range(5))
+    top = np.empty(size, dtype=bool)
+    for start in range(0, flat_x.size, _GAMMA_CHUNK):
+        xs = flat_x[start : start + _GAMMA_CHUNK]
+        k = xs.size
+        yk, zk, pk, qk, lk, tk = y[:k], z[:k], p[:k], q[:k], low[:k], top[:k]
+        # The 0/1 factor `low` selects exactly (x + 0.0 == x, 0.0 / x + 1.0 ==
+        # 1.0). Ufuncs and copies masked by x < 2, which splits these arguments
+        # about evenly, ran 10-30 times slower than these unmasked passes.
+        np.less(xs, 2.0, out=lk)
+        np.divide(lk, xs, out=zk)
+        np.subtract(1.0, lk, out=pk)
+        zk += pk
+        np.add(xs, lk, out=yk)
+        np.greater_equal(xs, 3.0, out=tk)
+        steps = np.flatnonzero(tk)
+        yk[steps] -= 1.0
+        zk[steps] = yk[steps]
+        yk -= 2.0
+        np.multiply(yk, _GAMMA_P[0], out=pk)
+        for c in _GAMMA_P[1:-1]:
+            pk += c
+            pk *= yk
+        pk += _GAMMA_P[-1]
+        np.multiply(yk, _GAMMA_Q[0], out=qk)
+        for c in _GAMMA_Q[1:-1]:
+            qk += c
+            qk *= yk
+        qk += _GAMMA_Q[-1]
+        pk *= zk
+        np.divide(pk, qk, out=flat_out[start : start + k])
+    return out
+
+
 def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     """Population covariance matrix of the mBm on a strictly increasing time grid.
 
@@ -89,7 +169,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         raise ValueError("times must be strictly increasing")
     h = f.values_on(times)
     tt = np.abs(times)
-    g = _gamma_vec(2.0 * h + 1.0) * np.sin(np.pi * h)
+    g = _gamma(2.0 * h + 1.0) * np.sin(np.pi * h)
     n = times.size
     cov = np.empty((n, n))
     for r0 in range(0, n, _COV_BLOCK):
@@ -97,7 +177,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         rows, cols = slice(r0, r1), slice(r0, n)
         a = h[rows, None] + h[None, cols]
         d = np.sqrt(np.outer(g[rows], g[cols])) / (
-            2.0 * _gamma_vec(a + 1.0) * np.sin(np.pi * a / 2.0)
+            2.0 * _gamma(a + 1.0) * np.sin(np.pi * a / 2.0)
         )
         if not np.all(np.isfinite(d)):
             raise ValueError("non-finite coupling factor in covariance assembly")

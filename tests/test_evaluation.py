@@ -98,6 +98,30 @@ def test_small_kappa_rate_leaves_scipy_optimize_unimported():
     assert out.stdout.strip() == "False"
 
 
+def test_cli_runs_leave_scipy_unimported(tmp_path):
+    # every CLI path but kappa > 7 scoring needs numpy only
+    code = f"""
+import sys
+from covclust import cli
+d = {str(tmp_path)!r}
+runs = [
+    ["simulate", "--hurst", "sin:0.3,1.0", "--n", "60", "--paths", "10", "--delta-t", "0.01",
+     "--output", d + "/s.csv"],
+    ["ingest-check", "--input", d + "/s.csv"],
+    ["cluster", "--input", d + "/s.csv", "--output", d + "/l.csv", "--kappa", "5"],
+    ["experiment", "--case", "mono", "--seeds", "0", "--epochs", "5,20",
+     "--output", d + "/r.csv", "--summary", d + "/m.csv"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(covclust.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_rate_input_validation():
     g = GroundTruth(kappa=2, labels=np.array([0, 1]))
     with pytest.raises(ValueError):

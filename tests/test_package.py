@@ -30,19 +30,13 @@ PUBLIC_NAMES = [
     "d_tilde_star",
     "default_mn",
     "default_weights",
-    "dissimilarity",
     "dissimilarity_matrix",
-    "evaluation",
     "fbm_increment_cov_matrix",
-    "hurst",
     "increment_path",
     "log_star",
     "misclassification_rate",
-    "offline",
     "offline_cluster",
-    "online",
     "online_cluster",
-    "processes",
     "run_experiment",
     "sample_fbm_increments",
     "sample_path",
@@ -51,6 +45,7 @@ PUBLIC_NAMES = [
 
 def test_public_surface_is_pinned():
     assert covclust.__all__ == PUBLIC_NAMES
+    assert all(hasattr(covclust, name) for name in PUBLIC_NAMES)
 
 
 def test_readme_python_examples_run(tmp_path, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gamma as scipy_gamma
 
 from covclust import (
     FactorizationError,
@@ -12,7 +13,7 @@ from covclust import (
     sample_fbm_increments,
     sample_path,
 )
-from covclust.processes import CACHE_SIZE, _fgn_factor, _mbm_factor
+from covclust.processes import CACHE_SIZE, _GAMMA_CHUNK, _fgn_factor, _gamma, _mbm_factor
 
 from naive_oracles import dense_cov_matrix, fbm_increment_cov, mbm_cov
 
@@ -87,6 +88,63 @@ def test_build_cov_matrix_bitwise_matches_dense(n, kind):
     f = BLOCKED_BUILD_PROFILES[kind](n)
     times = np.arange(1, n + 1) / n
     assert build_cov_matrix(f, times).tobytes() == dense_cov_matrix(f, times).tobytes()
+
+
+def _gamma_arguments(f, n):
+    # the arguments build_cov_matrix passes: 2h + 1 and (h_i + h_j) + 1
+    h = f.values_on(np.arange(1, n + 1) / n)
+    return np.concatenate([2.0 * h + 1.0, (h[:, None] + h[None, :] + 1.0).ravel()])
+
+
+# H as close to 0 and 1 as HurstFunction allows; 2h + 1 rounds to exactly 3.0 at the top
+H_EDGES = (5e-324, np.nextafter(0.0, 1.0) * 2, 1e-300, 1e-17, np.nextafter(1.0, 0.0))
+GAMMA_PROFILES = {
+    "constant": lambda n: [HurstFunction.constant(h) for h in (0.01, 0.5, 0.7, 0.99)],
+    "monotonic": lambda n: [HurstFunction.monotonic(h, 1.0) for h in (0.1, 0.3, 0.4999, -0.4)],
+    "periodic": lambda n: [HurstFunction.periodic(h, 1.0) for h in (0.3, -0.3, 0.49, -0.49)],
+    "tabulated": lambda n: [
+        HurstFunction.tabulated(np.random.default_rng(n).choice(H_EDGES, n)),
+        HurstFunction.tabulated(np.random.default_rng(n).uniform(0.0, 1.0, n).clip(5e-324)),
+    ],
+}
+
+
+def test_gamma_matches_scipy_bitwise_random():
+    x = np.random.default_rng(11).uniform(1.0, 3.0, 1_200_000)
+    assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    # at 3 itself the step down changes no bit; above 3 it is what keeps the port exact
+    x = np.random.default_rng(12).uniform(3.0, 4.0, 1000)
+    assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+
+
+def test_gamma_matches_scipy_bitwise_edges():
+    edges = [1.0, 2.0, 3.0]
+    edges += [np.nextafter(e, d) for e in edges for d in (0.0, 4.0)]
+    x = np.array(edges)
+    assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    assert _gamma(np.array([1.0, 2.0, 3.0])).tolist() == [1.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("kind", sorted(GAMMA_PROFILES))
+def test_gamma_matches_scipy_bitwise_on_hurst_profiles(kind):
+    for n in (7, 300):
+        for f in GAMMA_PROFILES[kind](n):
+            x = _gamma_arguments(f, n)
+            assert x.min() >= 1.0 and x.max() <= 3.0
+            assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    if kind == "tabulated":
+        assert 3.0 in _gamma_arguments(HurstFunction.tabulated([np.nextafter(1.0, 0.0)] * 2), 2)
+
+
+def test_gamma_keeps_shape_and_chunk_edges():
+    # sizes straddle the chunk edge; a 2-d block gives the same values as its ravel
+    rng = np.random.default_rng(5)
+    for size in (1, _GAMMA_CHUNK - 1, _GAMMA_CHUNK, _GAMMA_CHUNK + 1, 2 * _GAMMA_CHUNK + 7):
+        x = rng.uniform(1.0, 3.0, size)
+        assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    block = rng.uniform(1.0, 3.0, (256, 300))
+    assert _gamma(block).shape == block.shape
+    assert _gamma(block).tobytes() == scipy_gamma(block).tobytes()
 
 
 def test_build_cov_matrix_rejects_unordered_times():
