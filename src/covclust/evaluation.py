@@ -23,7 +23,7 @@ from .dissimilarity import DissimConfig, OpCounter, dissimilarity_matrix
 from .hurst import HurstFunction
 from .offline import Clustering, offline_cluster
 from .online import online_cluster
-from .processes import CACHE_SIZE, sample_path
+from .processes import sample_path
 
 MONO_H_VALUES = (-0.4, -0.2, 0.0, 0.2, 0.4)
 SIN_H_VALUES = (0.4, 0.2, 0.0, -0.2, -0.4)
@@ -118,6 +118,12 @@ def group_hurst(case: str, h: float) -> HurstFunction:
     if case == "const":
         return HurstFunction.constant(h)
     raise ValueError(f"unknown case {case!r}")
+
+
+# Pools kept by `simulate_pool`, least recently used first out. A pool holds
+# sampled paths only; the factors they are drawn from are bounded by bytes in
+# `processes`.
+CACHE_SIZE = 16
 
 
 # Full-length simulations, reused across epochs so that every epoch's data is

@@ -5,19 +5,24 @@ degenerate at t = 0), by factorizing the population covariance matrix and
 pushing a seeded standard-normal vector through the factor. The covariance's
 Gamma values come from `_gamma`, a numpy port of the cephes routine that
 scipy.special.gamma runs, so this module needs numpy only.
+
+Factors are cached, least recently used first out, within _FACTOR_BYTES. On a
+miss the covariance is built first, then old factors are evicted until the new
+one fits, and only then is the covariance factored: a failed build evicts
+nothing, and a new factor is never held beside the factors it displaces.
 """
 
 from __future__ import annotations
 
-import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hurst import HurstFunction
 
-_JITTERS = (0.0, 1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
+_JITTERS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # Rows per block of the covariance assembly. Each temporary then holds at
 # most _COV_BLOCK x n entries (4 MB at n = 2000) rather than n x n.
 _COV_BLOCK = 256
@@ -207,11 +212,20 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix, with escalating jitter.
 
     The matrix itself is factored first. Only if that fails is additive
-    diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up.
+    diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up. Every
+    level shifts a fresh copy of cov in one reused array, bit for bit
+    cov + jitter * np.eye(n).
     """
+    try:
+        return np.linalg.cholesky(cov)
+    except np.linalg.LinAlgError:
+        pass
+    shifted = np.empty(cov.shape)
     for jitter in _JITTERS:
+        np.add(cov, 0.0, out=shifted)
+        shifted.flat[:: len(shifted) + 1] += jitter
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(cov.shape[0]) if jitter else cov)
+            return np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(
@@ -220,25 +234,39 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-# Entries kept by each of the factor caches here and the pool cache of
-# `evaluation.simulate_pool`, least recently used first out. The largest
-# working set is 10 factors: the 5 mono and 5 sin groups of an offline
-# experiment at full path length. Unbounded, every new Hurst profile at
-# n = 2000 would stay resident as a 32 MB factor.
-CACHE_SIZE = 16
+# Bytes of factors kept by `_factor`. A factor takes 8 n^2 bytes. The budget
+# holds the largest experiment working set, 10 factors at n = 305 (7.4 MB: the
+# 5 mono and 5 sin groups of an offline run at full path length), and one
+# factor at n = 2000 (32.0 MB), so the draws of one `simulate` share it. Two
+# n = 2000 factors do not fit, so a new Hurst profile displaces the last one
+# rather than staying resident. A factor larger than the budget is kept alone.
+_FACTOR_BYTES = 32 * 2**20
+# Factors keyed by kind and generation arguments, least recently used first;
+# safe because HurstFunction is frozen/hashable and factors are never written to.
+_FACTORS: OrderedDict = OrderedDict()
 
 
-# Factors are keyed by the full generation configuration; safe because
-# HurstFunction is frozen/hashable and factors are never written to.
-@functools.lru_cache(maxsize=CACHE_SIZE)
+def _factor(key: tuple, build_cov) -> np.ndarray:
+    """Cached Cholesky factor of build_cov(), evicting between build and factoring."""
+    factor = _FACTORS.get(key)
+    if factor is not None:
+        _FACTORS.move_to_end(key)
+        return factor
+    cov = build_cov()
+    held = sum(f.nbytes for f in _FACTORS.values())
+    while _FACTORS and held + cov.nbytes > _FACTOR_BYTES:
+        held -= _FACTORS.popitem(last=False)[1].nbytes
+    factor = _FACTORS[key] = cholesky_with_jitter(cov)
+    return factor
+
+
 def _mbm_factor(f: HurstFunction, n: int, delta_t: float) -> np.ndarray:
-    times = delta_t * np.arange(1, n + 1)
-    return cholesky_with_jitter(build_cov_matrix(f, times))
+    return _factor(("mbm", f, n, delta_t),
+                   lambda: build_cov_matrix(f, delta_t * np.arange(1, n + 1)))
 
 
-@functools.lru_cache(maxsize=CACHE_SIZE)
 def _fgn_factor(h: float, n: int, delta: float) -> np.ndarray:
-    return cholesky_with_jitter(fbm_increment_cov_matrix(h, 1.0, n, delta))
+    return _factor(("fgn", h, n, delta), lambda: fbm_increment_cov_matrix(h, 1.0, n, delta))
 
 
 def sample_path(f: HurstFunction, n: int, delta_t: float, seed, id: str | None = None) -> SamplePath:

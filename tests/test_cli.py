@@ -227,6 +227,19 @@ def test_simulate_deterministic_bytes(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_simulate_after_eviction_writes_same_bytes(tmp_path, monkeypatch):
+    # one n = 50 factor (20000 bytes) fits the budget, so B evicts A
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 30000)
+    outs = [tmp_path / f"{i}.csv" for i in range(3)]
+    for out, hurst in zip(outs, ["sin:0.3,1.0", "sin:-0.3,1.0", "sin:0.3,1.0"]):
+        assert run(["simulate", "--hurst", hurst, "--n", "50", "--paths", "3",
+                    "--delta-t", "0.02", "--seed", "7", "--output", out]) == 0
+        assert len(processes._FACTORS) == 1
+    assert outs[0].read_bytes() == outs[2].read_bytes()
+    assert outs[0].read_bytes() != outs[1].read_bytes()
+
+
 def test_simulate_row_count_and_round_trip(tmp_path):
     out = tmp_path / "sim.csv"
     assert run(["simulate", "--hurst", "mono:0.3,1.0", "--n", "12", "--paths", "3",
@@ -248,7 +261,7 @@ def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monke
         raise processes.FactorizationError("not positive definite")
 
     monkeypatch.setattr(processes, "cholesky_with_jitter", fail)
-    processes._mbm_factor.cache_clear()
+    processes._FACTORS.clear()
     code = run(["simulate", "--hurst", "constant:0.5", "--n", "10", "--paths", "1",
                 "--output", tmp_path / "x.csv"])
     assert code == 5

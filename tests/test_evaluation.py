@@ -19,8 +19,8 @@ from covclust import (
     run_experiment,
 )
 from covclust import evaluation, online
-from covclust.processes import CACHE_SIZE
 from covclust.evaluation import (
+    CACHE_SIZE,
     group_hurst,
     offline_path_count,
     online_group_size,

@@ -13,7 +13,8 @@ from covclust import (
     sample_fbm_increments,
     sample_path,
 )
-from covclust.processes import CACHE_SIZE, _GAMMA_CHUNK, _fgn_factor, _gamma, _mbm_factor
+from covclust import processes
+from covclust.processes import _GAMMA_CHUNK, _gamma
 
 from naive_oracles import dense_cov_matrix, fbm_increment_cov, mbm_cov
 
@@ -24,6 +25,7 @@ MONO_COV_10_10 = 10.964781961431850131
 MONO_COV_10_20 = 11.964636823194221756
 MONO_COV_20_20 = 25.416303938318671963
 FGN_LAG1_H07 = 0.31950791077289425937  # (2**1.4 - 2) / 2
+JITTERS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 
 
 def test_d_factor_identity():
@@ -191,6 +193,26 @@ def test_cholesky_with_jitter_degenerate():
     assert factor.shape == (3, 3)
 
 
+@pytest.mark.parametrize("signed_zero", [False, True])
+def test_cholesky_with_jitter_levels_are_cov_plus_jitter_eye(monkeypatch, signed_zero):
+    # every level factors bytes identical to cov + jitter * np.eye(n), also where
+    # cov holds -0.0; a stub that records each matrix and fails tries all levels
+    v = np.array([1.0, 2.0, 3.0])
+    cov = np.outer(v, v)
+    if signed_zero:
+        cov[0, 2] = cov[2, 0] = -0.0
+    seen = []
+
+    def fail(a):
+        seen.append(a.tobytes())
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(FactorizationError):
+        cholesky_with_jitter(cov)
+    assert seen == [cov.tobytes()] + [(cov + j * np.eye(3)).tobytes() for j in JITTERS]
+
+
 def test_cholesky_with_jitter_spd_is_plain_cholesky():
     cov = build_cov_matrix(HurstFunction.periodic(0.3, 1.0), np.arange(1, 301) / 300)
     assert cholesky_with_jitter(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
@@ -260,14 +282,78 @@ def test_tangent_process_correlation():
     assert np.max(np.abs(corr - pop_corr)) < 0.1
 
 
-def test_factor_caches_are_bounded():
+def _held_bytes():
+    return sum(f.nbytes for f in processes._FACTORS.values())
+
+
+def _record_factorizations(monkeypatch):
+    calls = []
+    real = processes.cholesky_with_jitter
+
+    def counted(cov):
+        calls.append(_held_bytes())
+        return real(cov)
+
+    monkeypatch.setattr(processes, "cholesky_with_jitter", counted)
+    return calls
+
+
+def test_factor_caches_are_bounded(monkeypatch):
+    # a budget of five n = 6 factors keeps the five most recent of 40
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 5 * 8 * 6**2)
     for h in np.linspace(-0.4, 0.4, 20):
         sample_path(HurstFunction.periodic(float(h), 1.0), 6, 1.0 / 6, seed=0)
         sample_fbm_increments(0.5 + float(h), 6, 1.0, 0)
-    for cache in (_mbm_factor, _fgn_factor):
-        info = cache.cache_info()
-        assert info.maxsize == CACHE_SIZE
-        assert info.currsize <= CACHE_SIZE
-    hits = _mbm_factor.cache_info().hits
+        assert _held_bytes() <= processes._FACTOR_BYTES
+    assert len(processes._FACTORS) == 5
+    assert list(processes._FACTORS)[-1] == ("fgn", 0.9, 6, 1.0)
+    calls = _record_factorizations(monkeypatch)
+    sample_fbm_increments(0.9, 6, 1.0, 1)
     sample_path(HurstFunction.periodic(0.4, 1.0), 6, 1.0 / 6, seed=1)
-    assert _mbm_factor.cache_info().hits == hits + 1
+    assert calls == []
+
+
+def test_factor_eviction_happens_between_build_and_factoring(monkeypatch):
+    # one n = 6 factor (288 bytes) fits the budget, two do not
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 400)
+    built = []
+    real_build = processes.build_cov_matrix
+
+    def recorded_build(f, times):
+        built.append(_held_bytes())
+        return real_build(f, times)
+
+    monkeypatch.setattr(processes, "build_cov_matrix", recorded_build)
+    factored = _record_factorizations(monkeypatch)
+    sample_path(HurstFunction.periodic(0.3, 1.0), 6, 1.0 / 6, seed=0)
+    sample_path(HurstFunction.periodic(-0.3, 1.0), 6, 1.0 / 6, seed=0)
+    assert built == [0, 288]
+    assert factored == [0, 0]
+    assert _held_bytes() == 288
+
+
+def test_failed_covariance_build_evicts_nothing(monkeypatch):
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 400)
+    sample_path(HurstFunction.periodic(0.3, 1.0), 6, 1.0 / 6, seed=0)
+
+    def fail(f, times):
+        raise ValueError("non-finite coupling factor")
+
+    monkeypatch.setattr(processes, "build_cov_matrix", fail)
+    with pytest.raises(ValueError):
+        sample_path(HurstFunction.periodic(-0.3, 1.0), 6, 1.0 / 6, seed=0)
+    assert _held_bytes() == 288
+
+
+def test_factor_over_budget_is_built_once(monkeypatch):
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 100)
+    calls = _record_factorizations(monkeypatch)
+    f = HurstFunction.periodic(0.3, 1.0)
+    paths = [sample_path(f, 6, 1.0 / 6, seed=s) for s in range(10)]
+    assert calls == [0]
+    assert _held_bytes() == 288
+    assert paths[3].values.tobytes() == sample_path(f, 6, 1.0 / 6, seed=3).values.tobytes()
