@@ -11,7 +11,6 @@ from .dissimilarity import (
     default_mn,
     default_weights,
     dissimilarity_matrix,
-    increment_path,
     log_star,
 )
 from .evaluation import (
@@ -62,7 +61,6 @@ __all__ = [
     "default_weights",
     "dissimilarity_matrix",
     "fbm_increment_cov_matrix",
-    "increment_path",
     "log_star",
     "misclassification_rate",
     "offline_cluster",

@@ -10,10 +10,13 @@ Hurst value.
 
 Every measure goes through one kernel. A path's features are the empirical
 covariances nu(l, m) of each of its windows, log*-transformed when configured.
-nu is symmetric, so each of its m(m+1)/2 upper-triangle entries is stored
-once, as one contiguous plane over (window, start) in np.triu_indices order;
-the off-diagonal planes are multiplied by sqrt(2), so that the plain sum of
-squared plane differences is the squared Frobenius distance.
+Entry (r, c) of nu(l, m) is the same suffix sum of the same products, over the
+same count, as entry (0, c - r) of nu(l + r, m - r). So only row 0 of each
+nu(l, m) is stored, as one contiguous plane over (window, start) per entry
+(0, c), and every other entry of the upper triangle is read from the plane of
+a smaller window size, shifted by r starts. Planes c >= 1 are multiplied by
+sqrt(2), so that the plain sum of squared entry differences over the upper
+triangle is the squared Frobenius distance.
 `dissimilarity_matrix` groups its pairs by window layout (K, L), stacks the
 paths of each layout and builds all their features in one call; it then
 reduces each row's pairs against one tile of paths at a time, the tile capped
@@ -106,38 +109,35 @@ class IncrementPath:
         return self.values.size
 
 
-def increment_path(z: SamplePath) -> IncrementPath:
-    """The full increment series of a sample path."""
-    return IncrementPath(np.diff(z.values))
-
-
 def log_star(x, out=None):
     """Signed logarithm: ln x for x > 0, -ln(-x) for x < 0, and +0.0 at 0.
 
     As with a numpy ufunc, the result is written into `out` when it is given,
     which may be x itself.
     """
+    sign = np.less(x, 0).astype(float)  # taken before out, which may be x, is written
     a = np.array(x, dtype=float) if out is None else out
-    neg = np.less(x, 0)
     np.abs(x, out=a)
-    np.log(a, out=a, where=a != 0)
-    np.negative(a, out=a, where=neg)
+    a[a == 0] = 1.0  # ln 1 = +0.0; -0.0 is not < 0, so its factor below is +1
+    np.log(a, out=a)
+    sign *= -2.0
+    sign += 1.0
+    a *= sign
     return float(a) if a.ndim == 0 else a
 
 
 def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
-    """Upper-triangle entries of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w].
+    """Row 0 of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w].
 
-    Shape (..., m(m+1)/2, L, n_w-m+1), s = 0..L-1 on the window axis and one
-    leading axis per leading axis of x: one contiguous plane per entry (r, c)
-    of np.triu_indices(m). Each window's entries are its own suffix sums of
-    the products x[t+r] x[t+c], so no difference of two long running sums is
-    ever taken and nothing cancels.
+    Shape (..., m, L, n_w-m+1), s = 0..L-1 on the window axis and one leading
+    axis per leading axis of x: one contiguous plane per entry (0, c),
+    c = 0..m-1. Each window's entries are its own suffix sums of the products
+    x[t] x[t+c], so no difference of two long running sums is ever taken and
+    nothing cancels.
     """
     n_l = n_w - m + 1
     shifts = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w + L - m, axis=-1)
-    rows, cols = np.triu_indices(m)
-    products = shifts[..., rows, :] * shifts[..., cols, :]
+    products = shifts[..., :1, :] * shifts
     per_window = np.lib.stride_tricks.sliding_window_view(products, n_l, axis=-1)
     out = np.empty(per_window.shape)
     np.cumsum(per_window[..., ::-1], axis=-1, out=out[..., ::-1])
@@ -147,11 +147,11 @@ def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
 
 def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
               scales: np.ndarray | None = None) -> list:
-    """Per window size m = 1..m_n: the (..., m(m+1)/2, L, n_w-m+1) feature planes of x's windows.
+    """Per window size m = 1..m_n: the (..., m, L, n_w-m+1) row-0 feature planes of x's windows.
 
     Window s holds x[..., s : s+n_w]. Its covariance entries are divided by
     scales[..., s]**2 when scales are given, then log* is applied if
-    configured, then the off-diagonal planes are multiplied by sqrt(2).
+    configured, then the off-diagonal planes 1..m-1 are multiplied by sqrt(2).
     """
     out = []
     for m in range(1, default_mn(n_w) + 1):
@@ -164,9 +164,7 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
             for start in range(0, flat.size, step):
                 part = flat[start : start + step]
                 log_star(part, out=part)
-        rows, cols = np.triu_indices(m)
-        for p in np.flatnonzero(rows != cols):
-            nu[..., p, :, :] *= _SQRT2
+        nu[..., 1:, :, :] *= _SQRT2
         out.append(nu)
     return out
 
@@ -181,16 +179,21 @@ def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
     """Mean over the windows of d_hat between one path's features f1 and each of a batch f2.
 
     f2 has one more leading axis than f1; the result has one value per entry
-    of it. The squared plane differences are added plane by plane, so each
-    value is reduced on its own and does not depend on the batch.
+    of it. For window size m, the squared differences of the entries of
+    np.triu_indices(m) are added one after another: entry (r, c) is plane
+    c - r of size m - r, from start r on. Each value is reduced on its own and
+    does not depend on the batch.
     """
     per_window = 0.0
+    diffs = []
     for a, b, w in zip(f1, f2, weights):
         diff = b - a
         np.multiply(diff, diff, out=diff)
-        sq = diff[..., 0, :, :]
-        for p in range(1, diff.shape[-3]):
-            sq += diff[..., p, :, :]
+        diffs.append(diff)
+        sq = diff[..., 0, :, :].copy()  # larger sizes still read diff
+        for r, d in enumerate(reversed(diffs)):
+            for p in range(r == 0, d.shape[-3]):
+                sq += d[..., p, :, r:]
         per_window = per_window + np.sqrt(sq, out=sq) @ w
     return np.sum(per_window, axis=-1) / per_window.shape[-1]
 

@@ -34,6 +34,16 @@ def naive_log_star(mat):
     return out
 
 
+def masked_log_star(x, out=None):
+    """log* with masked ufunc passes: log where |x| != 0, then negation where x < 0."""
+    a = np.array(x, dtype=float) if out is None else out
+    neg = np.less(x, 0)
+    np.abs(x, out=a)
+    np.log(a, out=a, where=a != 0)
+    np.negative(a, out=a, where=neg)
+    return float(a) if a.ndim == 0 else a
+
+
 def naive_d_hat(v1, v2, use_log_star=False):
     """Literal double loop over window sizes and starts."""
     n = min(len(v1), len(v2))

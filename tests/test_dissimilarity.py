@@ -17,7 +17,6 @@ from covclust import (
     default_mn,
     default_weights,
     dissimilarity_matrix,
-    increment_path,
     log_star,
     sample_path,
 )
@@ -26,6 +25,7 @@ from covclust.dissimilarity import _features, _window_covs
 
 from naive_oracles import (
     fullstorage_dissimilarity_matrix,
+    masked_log_star,
     naive_d_hat,
     naive_nu,
     pairwise_dissimilarity_matrix,
@@ -63,6 +63,25 @@ def test_log_star_negative_zero_is_positive_zero():
     assert not np.any(np.signbit(log_star(np.array([-0.0, 0.0]))))
 
 
+def test_log_star_bitwise_matches_masked_oracle():
+    tiny = np.nextafter(0.0, 1.0)
+    special = [0.0, -0.0, tiny, -tiny, 2.2e-308, -2.2e-308, 1.0, -1.0, 1e308, -1e308,
+               np.inf, -np.inf, math.e, -math.e]
+    rng = np.random.default_rng(3)
+    random = rng.standard_normal(4099) * np.exp(rng.uniform(-700.0, 700.0, 4099))
+    for values in (special, random, np.concatenate([random[:1000], special, random[1000:]])):
+        x = np.array(values)
+        assert log_star(x).tobytes() == masked_log_star(x).tobytes()
+        assert log_star(list(values)).tobytes() == masked_log_star(x).tobytes()
+        aliased = x.copy()
+        assert log_star(aliased, out=aliased) is aliased
+        assert aliased.tobytes() == masked_log_star(x).tobytes()
+    for v in special:
+        got = log_star(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(masked_log_star(v)).tobytes()
+
+
 def test_default_weights_positive_and_summable():
     j = np.arange(1, 2000)
     w = default_weights(j)
@@ -84,9 +103,11 @@ def test_default_mn():
 
 
 def test_empirical_cov_example():
-    # nu(1, 2) of x = (1, 2, 3): the mean of (1, 2)(1, 2)^T and (2, 3)(2, 3)^T
+    # row 0 of nu(1, 2) of x = (1, 2, 3): the mean of (1, 2)(1, 2)^T and (2, 3)(2, 3)^T is
+    # [[2.5, 4.0], [4.0, 6.5]]
     planes = _window_covs(np.array([1.0, 2.0, 3.0]), 3, 1, 2)
-    np.testing.assert_allclose(planes[:, 0, 0], [2.5, 4.0, 6.5], atol=1e-14)
+    assert planes.shape == (2, 1, 2)
+    np.testing.assert_allclose(planes[:, 0, 0], [2.5, 4.0], atol=1e-14)
 
 
 def test_empirical_cov_zero_path():
@@ -94,9 +115,9 @@ def test_empirical_cov_zero_path():
 
 
 def test_empirical_cov_boundary_single_window():
-    # the last start l = n - m + 1 averages a single outer product
+    # the last start l = n - m + 1 averages a single outer product, (3, 4)(3, 4)^T
     planes = _window_covs(np.array([1.0, 2.0, 3.0, 4.0]), 4, 1, 2)
-    np.testing.assert_allclose(planes[:, 0, -1], [9.0, 12.0, 16.0], atol=1e-14)
+    np.testing.assert_allclose(planes[:, 0, -1], [9.0, 12.0], atol=1e-14)
 
 
 def test_empirical_cov_matches_naive():
@@ -106,8 +127,24 @@ def test_empirical_cov_matches_naive():
         for m in range(1, min(n, 6) + 1):
             planes = _window_covs(v, n, 1, m)
             for l in range(1, n - m + 2):
-                naive = naive_nu(v, l, m)[np.triu_indices(m)]
+                naive = naive_nu(v, l, m)[0, :m]
                 np.testing.assert_allclose(planes[:, 0, l - 1], naive, rtol=1e-12)
+
+
+def test_empirical_cov_shift_identity_bitwise():
+    # entry (r, r + c) of nu(l, m), rebuilt from its own products x[t + r] x[t + r + c],
+    # is plane c of the size m - r row 0 from start l + r on, byte for byte
+    rng = np.random.default_rng(1)
+    for n in (6, 23, 101):
+        x = rng.standard_normal(n)
+        for m in range(1, 7):
+            n_l = n - m + 1
+            for r in range(m):
+                shifted = _window_covs(x, n, 1, m - r)[:, 0, r:]
+                for c in range(m - r):
+                    products = x[r : r + n_l] * x[r + c : r + c + n_l]
+                    entry = np.cumsum(products[::-1])[::-1] / np.arange(n_l, 0, -1, dtype=float)
+                    assert shifted[c].tobytes() == entry.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +200,8 @@ def test_d_star_hat_degenerate_equals_d_hat():
     z1 = SamplePath("a", rng.standard_normal(20))
     z2 = SamplePath("b", rng.standard_normal(20))
     cfg = DissimConfig(K=18, L=1)  # one window spanning all n - 1 increments
-    assert d_star_hat(z1, z2, cfg) == d_hat(increment_path(z1), increment_path(z2))
+    assert d_star_hat(z1, z2, cfg) == d_hat(IncrementPath(np.diff(z1.values)),
+                                              IncrementPath(np.diff(z2.values)))
 
 
 def test_d_star_hat_self_zero():
@@ -328,6 +366,17 @@ _ORACLE_CASES = st.tuples(st.integers(0, 10_000),
 @given(_ORACLE_CASES)
 def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle(case):
     paths, cfg = _oracle_case(*case)
+    D = dissimilarity_matrix(paths, cfg)
+    assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
+
+
+@pytest.mark.parametrize("use_log_star", [False, True])
+@pytest.mark.parametrize("n, K", [(80, 60), (200, 160)])
+def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle_large_windows(n, K, use_log_star):
+    # m_n = 4 and 5, beyond the window sizes the hypothesis cases reach
+    assert default_mn(K + 1) == {60: 4, 160: 5}[K]
+    paths, _ = _oracle_case(26, (n, n, n - 3, n), False, False, use_log_star, True, True)
+    cfg = DissimConfig(K=K, use_log_star=use_log_star)
     D = dissimilarity_matrix(paths, cfg)
     assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
 

@@ -32,7 +32,6 @@ PUBLIC_NAMES = [
     "default_weights",
     "dissimilarity_matrix",
     "fbm_increment_cov_matrix",
-    "increment_path",
     "log_star",
     "misclassification_rate",
     "offline_cluster",
