@@ -133,29 +133,32 @@ def cmd_experiment(args) -> int:
         if not isinstance(defaults, dict):
             raise CliError("config", "config file must be a flat JSON object", _EXIT_CONFIG)
 
-    def pick(flag_value, key, fallback):
-        if flag_value is not None:
-            return flag_value
-        return defaults.get(key, fallback)
+    def pick(flag_value, key, fallback, ok, expected):
+        value = flag_value if flag_value is not None else defaults.get(key, fallback)
+        if not ok(value):
+            raise CliError("config", f"{key} must be {expected}, got {value!r}", _EXIT_CONFIG)
+        return value
 
-    case = pick(args.case, "case", "mono")
-    mode = pick(args.mode, "mode", "offline")
-    if args.seeds is None:
-        seeds = ",".join(str(s) for s in defaults.get("seeds", [0]))
-    else:
-        seeds = args.seeds
-    if args.epochs is None:
-        epochs = ",".join(str(t) for t in defaults.get("epochs", [5, 20, 50, 100]))
-    else:
-        epochs = args.epochs
+    def is_int(value):
+        return isinstance(value, int) and not isinstance(value, bool)
+
+    def is_int_list(value):
+        return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(is_int, value))
+
+    seeds = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
+    epochs = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
+    cases, modes = tuple(evaluation.GROUP_H_VALUES), ("offline", "online")
+    int_list = "a non-empty list of integers"
     ec = evaluation.ExperimentConfig(
-        case=case,
-        mode=mode,
-        seeds=_parse_int_list(seeds, "--seeds"),
-        epochs=_parse_int_list(epochs, "--epochs"),
-        paths_per_group=int(pick(args.paths_per_group, "paths_per_group", 5)),
+        case=pick(args.case, "case", "mono", lambda v: v in cases, " or ".join(cases)),
+        mode=pick(args.mode, "mode", "offline", lambda v: v in modes, " or ".join(modes)),
+        seeds=tuple(pick(seeds, "seeds", [0], is_int_list, int_list)),
+        epochs=tuple(pick(epochs, "epochs", [5, 20, 50, 100], is_int_list, int_list)),
+        paths_per_group=pick(args.paths_per_group, "paths_per_group", 5,
+                             lambda v: is_int(v) and v >= 1, "an integer >= 1"),
         dissim=replace(evaluation.ExperimentConfig().dissim,
-                       use_log_star=bool(pick(args.log_star, "log_star", True))),
+                       use_log_star=pick(args.log_star, "log_star", True,
+                                         lambda v: isinstance(v, bool), "true or false")),
     )
     rows = evaluation.run_experiment(ec)
     rate_rows = [[seed, t, format(rate, ".17g")] for seed, t, rate in rows]

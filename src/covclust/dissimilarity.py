@@ -248,8 +248,9 @@ def d_star_hat(z1: SamplePath, z2: SamplePath, cfg: DissimConfig = DissimConfig(
 
 
 def _window_scales(z: SamplePath, H: HurstFunction, L: int) -> np.ndarray:
-    """delta_t ** H(t_i) of windows i = 1..L."""
-    return np.array([z.delta_t ** H(z.time_of(i)) for i in range(1, L + 1)])
+    """delta_t ** H(t_i), i = 1..L, by float ** (numpy's power differs in the last bits)."""
+    h = H.values_on(z.delta_t * np.arange(1, L + 1))
+    return np.array([z.delta_t ** v for v in h.tolist()])
 
 
 def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFunction,

@@ -25,8 +25,11 @@ from .offline import Clustering, offline_cluster
 from .online import online_cluster
 from .processes import sample_path
 
-MONO_H_VALUES = (-0.4, -0.2, 0.0, 0.2, 0.4)
-SIN_H_VALUES = (0.4, 0.2, 0.0, -0.2, -0.4)
+# Amplitude h of each group's Hurst profile, by case; one group per entry.
+GROUP_H_VALUES = {
+    "mono": (-0.4, -0.2, 0.0, 0.2, 0.4),
+    "sin": (0.4, 0.2, 0.0, -0.2, -0.4),
+}
 
 _EXHAUSTIVE_KAPPA_LIMIT = 7
 
@@ -82,8 +85,7 @@ class ExperimentConfig:
     windows.
     """
 
-    case: str = "mono"  # "mono" | "sin"
-    h_values: tuple = ()
+    case: str = "mono"  # a key of GROUP_H_VALUES
     paths_per_group: int = 5
     seeds: tuple = (0,)
     mode: str = "offline"  # "offline" | "online"
@@ -91,18 +93,13 @@ class ExperimentConfig:
     epochs: tuple = (5, 20, 50, 100)
     path_length: int = 305
 
-    def resolved_h_values(self) -> tuple:
-        if self.h_values:
-            return self.h_values
-        if self.case == "mono":
-            return MONO_H_VALUES
-        if self.case == "sin":
-            return SIN_H_VALUES
-        raise ValueError(f"unknown case {self.case!r}")
+    def __post_init__(self):
+        if self.case not in GROUP_H_VALUES:
+            raise ValueError(f"unknown case {self.case!r}")
 
     @property
     def kappa(self) -> int:
-        return len(self.resolved_h_values())
+        return len(GROUP_H_VALUES[self.case])
 
 
 def group_hurst(case: str, h: float) -> HurstFunction:
@@ -115,8 +112,6 @@ def group_hurst(case: str, h: float) -> HurstFunction:
         return HurstFunction.monotonic(h, 1.0)
     if case == "sin":
         return HurstFunction.periodic(h, 1.0)
-    if case == "const":
-        return HurstFunction.constant(h)
     raise ValueError(f"unknown case {case!r}")
 
 
@@ -139,7 +134,7 @@ def simulate_pool(ec: ExperimentConfig, seed: int, per_group: int) -> list:
                         id=f"s{seed}g{gi}p{l}")
             for l in range(1, per_group + 1)
         ]
-        for gi, h in enumerate(ec.resolved_h_values())
+        for gi, h in enumerate(GROUP_H_VALUES[ec.case])
     ]
 
 

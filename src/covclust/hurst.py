@@ -1,44 +1,42 @@
-"""Functional Hurst indexes H(.) valued in the open interval (0, 1)."""
+"""Functional Hurst indexes H(.) valued in the open interval (0, 1).
+
+Three variants, all evaluated by one vectorised method,
+:meth:`HurstFunction.values_on`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 CONSTANT = "constant"
 MONOTONIC = "monotonic"
 PERIODIC = "periodic"
-TABULATED = "tabulated"
 
 
 class HurstDomainError(ValueError):
     """Raised when a Hurst function is queried outside its domain or leaves (0, 1)."""
 
 
-def _check_open_unit(value: float, context: str) -> float:
-    if not (0.0 < value < 1.0):
-        raise HurstDomainError(f"{context}: value {value} is outside (0, 1)")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class HurstFunction:
     """Time-varying self-similarity index.
 
-    Four variants: a constant level, a linear ramp 0.5 + h*t/q, a half-sine
-    arch 0.5 + h*sin(pi*t/q) (both defined on t in [0, q]), and a tabulated
-    variant carrying one value per sampling instant.
+    Three variants: a constant level, a linear ramp 0.5 + h*t/q and a
+    half-sine arch 0.5 + h*sin(pi*t/q), the last two defined on t in [0, q].
+    :meth:`values_on` is the one definition of each; calling the function
+    evaluates it at a single instant.
     """
 
     kind: str
     h: float = 0.5
     q: float = 1.0
-    values: tuple[float, ...] = field(default=())
 
     @classmethod
     def constant(cls, h: float) -> "HurstFunction":
-        _check_open_unit(h, "constant Hurst level")
+        if not (0.0 < h < 1.0):
+            raise HurstDomainError(f"constant Hurst level: value {h} is outside (0, 1)")
         return cls(kind=CONSTANT, h=float(h))
 
     @classmethod
@@ -53,41 +51,35 @@ class HurstFunction:
             raise HurstDomainError(f"horizon q must be positive, got {q}")
         return cls(kind=PERIODIC, h=float(h), q=float(q))
 
-    @classmethod
-    def tabulated(cls, values) -> "HurstFunction":
-        vals = tuple(float(v) for v in values)
-        for v in vals:
-            _check_open_unit(v, "tabulated Hurst value")
-        return cls(kind=TABULATED, values=vals)
-
     def __call__(self, t: float) -> float:
-        """Evaluate H(t) for the functional variants.
-
-        Tabulated functions are indexed by sampling instant, not by time; use
-        :meth:`values_on` for those.
-        """
-        if self.kind == CONSTANT:
-            return self.h
-        if self.kind == TABULATED:
-            raise TypeError("tabulated Hurst functions are evaluated by index, not time")
-        if not (0.0 <= t <= self.q):
-            raise HurstDomainError(f"time {t} outside domain [0, {self.q}]")
-        if self.kind == MONOTONIC:
-            value = 0.5 + self.h * t / self.q
-        elif self.kind == PERIODIC:
-            value = 0.5 + self.h * np.sin(np.pi * t / self.q)
-        else:
-            raise ValueError(f"unknown Hurst variant {self.kind!r}")
-        return _check_open_unit(value, f"H({t})")
+        """H(t) at one instant."""
+        return float(self.values_on(t))
 
     def values_on(self, times) -> np.ndarray:
-        """H evaluated along a sampling grid, one value per instant."""
+        """H evaluated along a sampling grid, one value per instant.
+
+        A constant level is defined at every time. Otherwise the first
+        offending instant in grid order raises HurstDomainError: a time
+        outside [0, q] before a value outside (0, 1).
+        """
         times = np.asarray(times, dtype=float)
-        if self.kind == TABULATED:
-            if len(self.values) != times.size:
-                raise IndexError(
-                    f"tabulated Hurst has {len(self.values)} values "
-                    f"but the grid has {times.size} instants"
-                )
-            return np.array(self.values, dtype=float)
-        return np.array([self(t) for t in times], dtype=float)
+        if self.kind == CONSTANT:
+            return np.full(times.shape, self.h)
+        # Values at out-of-domain times are never returned, and a value made
+        # non-finite inside the domain fails the range check.
+        with np.errstate(all="ignore"):
+            if self.kind == MONOTONIC:
+                values = 0.5 + self.h * times / self.q
+            elif self.kind == PERIODIC:
+                values = 0.5 + self.h * np.sin(np.pi * times / self.q)
+            else:
+                raise ValueError(f"unknown Hurst variant {self.kind!r}")
+            outside = ~((0.0 <= times) & (times <= self.q))
+            bad = outside | ~((0.0 < values) & (values < 1.0))
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
+            t, value = float(times.flat[i]), float(values.flat[i])
+            if outside.flat[i]:
+                raise HurstDomainError(f"time {t} outside domain [0, {self.q}]")
+            raise HurstDomainError(f"H({t}): value {value} is outside (0, 1)")
+        return values

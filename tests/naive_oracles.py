@@ -8,6 +8,7 @@ import numpy as np
 from scipy.special import gamma as gamma_vec
 
 from covclust.dissimilarity import default_mn, default_weights
+from covclust.hurst import HurstDomainError
 from covclust.offline import Clustering
 from covclust.processes import SamplePath, d_factor
 from covclust.seriesio import HEADER, SchemaError
@@ -226,9 +227,26 @@ def prefixwise_online_cluster(D, kappa):
     return Clustering(kappa=kappa, labels=labels, centers=centers)
 
 
+def naive_hurst(f, t):
+    """H(t) of a HurstFunction by its scalar per-kind formula, at one instant."""
+    if f.kind == "constant":
+        return f.h
+    if not (0.0 <= t <= f.q):
+        raise HurstDomainError(f"time {t} outside domain [0, {f.q}]")
+    if f.kind == "monotonic":
+        value = 0.5 + f.h * t / f.q
+    elif f.kind == "periodic":
+        value = 0.5 + f.h * np.sin(np.pi * t / f.q)
+    else:
+        raise ValueError(f"unknown Hurst variant {f.kind!r}")
+    if not (0.0 < value < 1.0):
+        raise HurstDomainError(f"H({t}): value {value} is outside (0, 1)")
+    return float(value)
+
+
 def mbm_cov(f, s, t):
     """Population covariance Cov(W(s), W(t)) of the mBm with Hurst function f."""
-    hs, ht = f(s), f(t)
+    hs, ht = naive_hurst(f, s), naive_hurst(f, t)
     a = hs + ht
     return d_factor(hs, ht) * (abs(t) ** a + abs(s) ** a - abs(t - s) ** a)
 

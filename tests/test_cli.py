@@ -10,6 +10,7 @@ from covclust import (
     ExperimentConfig,
     GroundTruth,
     SamplePath,
+    evaluation,
     misclassification_rate,
     processes,
 )
@@ -446,6 +447,39 @@ def test_experiment_disjoint_seed_lists_merge(tmp_path):
     assert run(base + ["--seeds", "0,1", "--output", both, "--summary", summ]) == 0
     merged = a.read_text().splitlines() + b.read_text().splitlines()[1:]
     assert merged == both.read_text().splitlines()
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"seeds": "12"}, []),
+    ({"seeds": []}, []),
+    ({"seeds": [0, True]}, []),
+    ({"seeds": [0.0]}, []),
+    ({"epochs": 5}, []),
+    ({"epochs": ["5"]}, []),
+    ({"log_star": "false"}, []),
+    ({"log_star": 1}, []),
+    ({"paths_per_group": "abc"}, []),
+    ({"paths_per_group": 2.0}, []),
+    ({"paths_per_group": 0}, []),
+    ({}, ["--paths-per-group", "0"]),
+    ({}, ["--paths-per-group", "-1"]),
+    ({"case": "const"}, []),
+    ({"case": ["mono"]}, []),
+    ({"mode": "sideways"}, []),
+])
+def test_experiment_rejects_bad_config_values(tmp_path, capsys, monkeypatch, config, flags):
+    def no_run(ec):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(evaluation, "run_experiment", no_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run(["experiment", "--config", cfg, *flags, "--output", tmp_path / "r.csv",
+                "--summary", tmp_path / "s.csv"])
+    key = next(iter(config), "paths_per_group")
+    assert code == 4
+    assert capsys.readouterr().err.startswith(f"error: config: {key} ")
+    assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
 
 def test_experiment_bad_config_file(tmp_path, capsys):

@@ -21,12 +21,13 @@ from covclust import (
     sample_path,
 )
 from covclust import dissimilarity
-from covclust.dissimilarity import _features, _window_covs
+from covclust.dissimilarity import _features, _window_covs, _window_scales
 
 from naive_oracles import (
     fullstorage_dissimilarity_matrix,
     masked_log_star,
     naive_d_hat,
+    naive_hurst,
     naive_nu,
     pairwise_dissimilarity_matrix,
 )
@@ -293,6 +294,17 @@ def test_d_tilde_star_per_window_scales(use_log_star):
         for i in range(1, L + 1)
     ])
     assert d_tilde_star(z1, z2, H1, H2, cfg) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [HurstFunction.monotonic, HurstFunction.periodic])
+@pytest.mark.parametrize("n, delta_t", [(24, 1.0 / 24), (305, 1.0 / 305), (2000, 0.0005)])
+def test_window_scales_bitwise_match_scalar_powers(make, n, delta_t):
+    z = SamplePath("a", np.zeros(n), delta_t=delta_t)
+    for h in (-0.45, -0.2, 0.1, 0.37):
+        H = make(h, 1.0)
+        for L in (1, n // 3, n):
+            expected = np.array([z.delta_t ** naive_hurst(H, z.time_of(i)) for i in range(1, L + 1)])
+            assert _window_scales(z, H, L).tobytes() == expected.tobytes()
 
 
 def test_d_tilde_star_self_zero():

@@ -12,11 +12,15 @@ from covclust import (
     DissimConfig,
     ExperimentConfig,
     GroundTruth,
+    HurstFunction,
     aggregate_rates,
     build_offline_dataset,
     build_online_dataset,
+    dissimilarity_matrix,
     misclassification_rate,
+    offline_cluster,
     run_experiment,
+    sample_path,
 )
 from covclust import evaluation, online
 from covclust.evaluation import (
@@ -213,6 +217,8 @@ def test_group_hurst_profiles():
     assert sin(0.5) == pytest.approx(0.1)
     with pytest.raises(ValueError):
         group_hurst("nope", 0.1)
+    with pytest.raises(ValueError):
+        ExperimentConfig(case="const")
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +255,16 @@ def test_run_experiment_golden_rates(mode, case):
 
 
 def test_run_experiment_separated_constant_h():
-    # two well-separated constant-Hurst groups must be perfectly recovered
-    ec = ExperimentConfig(
-        case="const", h_values=(0.2, 0.8), paths_per_group=3, seeds=(0,), epochs=(40,)
-    )
-    rows = run_experiment(ec)
-    assert rows[0][2] == 0.0
+    # two well-separated constant-Hurst groups, clustered like an offline epoch
+    # of t=40, must be perfectly recovered
+    paths = [
+        sample_path(HurstFunction.constant(h), 305, 1 / 305, seed=(0, gi, l)).prefix(125)
+        for gi, h in enumerate((0.2, 0.8))
+        for l in range(1, 4)
+    ]
+    D = dissimilarity_matrix(paths, DissimConfig(use_log_star=True))
+    truth = GroundTruth(kappa=2, labels=np.repeat(np.arange(2), 3))
+    assert misclassification_rate(offline_cluster(D, 2), truth) == 0.0
 
 
 def test_run_experiment_online_mode():
