@@ -34,6 +34,8 @@ _EXIT_INFEASIBLE = 5
 _EXIT_IO = 6
 
 _SERIAL_HELP = "accepted for compatibility; D is computed serially"
+# The keys an `experiment --config` file may set.
+_CONFIG_KEYS = ("case", "mode", "seeds", "epochs", "paths_per_group", "log_star")
 
 
 class CliError(Exception):
@@ -132,6 +134,9 @@ def cmd_experiment(args) -> int:
                            _EXIT_CONFIG) from exc
         if not isinstance(defaults, dict):
             raise CliError("config", "config file must be a flat JSON object", _EXIT_CONFIG)
+        unknown = [key for key in defaults if key not in _CONFIG_KEYS]
+        if unknown:
+            raise CliError("config", f"unknown key {unknown[0]!r}", _EXIT_CONFIG)
 
     def pick(flag_value, key, fallback, ok, expected):
         value = flag_value if flag_value is not None else defaults.get(key, fallback)
@@ -145,6 +150,9 @@ def cmd_experiment(args) -> int:
     def is_int_list(value):
         return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(is_int, value))
 
+    def is_seed_list(value):
+        return is_int_list(value) and min(value) >= 0
+
     seeds = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
     epochs = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
     cases, modes = tuple(evaluation.GROUP_H_VALUES), ("offline", "online")
@@ -152,7 +160,8 @@ def cmd_experiment(args) -> int:
     ec = evaluation.ExperimentConfig(
         case=pick(args.case, "case", "mono", lambda v: v in cases, " or ".join(cases)),
         mode=pick(args.mode, "mode", "offline", lambda v: v in modes, " or ".join(modes)),
-        seeds=tuple(pick(seeds, "seeds", [0], is_int_list, int_list)),
+        seeds=tuple(pick(seeds, "seeds", [0], is_seed_list,
+                         "a non-empty list of non-negative integers")),
         epochs=tuple(pick(epochs, "epochs", [5, 20, 50, 100], is_int_list, int_list)),
         paths_per_group=pick(args.paths_per_group, "paths_per_group", 5,
                              lambda v: is_int(v) and v >= 1, "an integer >= 1"),

@@ -4,7 +4,11 @@ Paths are sampled on the grid t_i = i*delta_t, i = 1..n (the process is
 degenerate at t = 0), by factorizing the population covariance matrix and
 pushing a seeded standard-normal vector through the factor. The covariance's
 Gamma values come from `_gamma`, a numpy port of the cephes routine that
-scipy.special.gamma runs, so this module needs numpy only.
+scipy.special.gamma runs, so this module needs numpy only. The covariance is
+assembled in row blocks. On w > 1 usable CPUs, the calling thread and w - 1
+helper threads (w at most one per _COV_BLOCK rows of the matrix) evaluate
+blocks of _COV_BLOCK // w rows, each writing its own disjoint entries, so
+neither the matrix nor the rows in flight depend on the CPU count.
 
 Factors are cached, least recently used first out, within _FACTOR_BYTES. On a
 miss the covariance is built first, then old factors are evicted until the new
@@ -15,6 +19,8 @@ nothing, and a new factor is never held beside the factors it displaces.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -23,8 +29,9 @@ import numpy as np
 from .hurst import HurstFunction
 
 _JITTERS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
-# Rows per block of the covariance assembly. Each temporary then holds at
-# most _COV_BLOCK x n entries (4 MB at n = 2000) rather than n x n.
+# Rows in flight in the covariance assembly, over all its threads. Its
+# workspace then holds 4 x _COV_BLOCK x n floats (16 MB at n = 2000) rather
+# than n x n.
 _COV_BLOCK = 256
 # Cephes' rational approximation Gamma(2 + y) = P(y) / Q(y) on y in [0, 1).
 _GAMMA_P = (
@@ -102,7 +109,7 @@ def d_factor(t: float, s: float) -> float:
     return value
 
 
-def _gamma(x: np.ndarray) -> np.ndarray:
+def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Gamma on [1, 3], bit for bit as scipy.special.gamma computes it there.
 
     A numpy port of cephes' `Gamma`, the routine behind scipy.special.gamma,
@@ -118,11 +125,14 @@ def _gamma(x: np.ndarray) -> np.ndarray:
     exactly 1, so cephes' early return at x == 2 needs no branch.
 
     The work runs in chunks of _GAMMA_CHUNK elements with in-place ufuncs on
-    preallocated buffers. The `test_gamma_matches_scipy_bitwise_*` tests in
-    tests/test_processes.py pin it to scipy byte for byte.
+    preallocated buffers. A chunk is read before its result is written, so
+    `out` (C-contiguous, shaped like x) may be x itself. The
+    `test_gamma_matches_scipy_bitwise_*` tests in tests/test_processes.py pin
+    it to scipy byte for byte.
     """
     x = np.ascontiguousarray(x, dtype=float)
-    out = np.empty_like(x)
+    if out is None:
+        out = np.empty_like(x)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     size = min(flat_x.size, _GAMMA_CHUNK)
     y, z, p, q, low = (np.empty(size) for _ in range(5))
@@ -159,13 +169,34 @@ def _gamma(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
 def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     """Population covariance matrix of the mBm on a strictly increasing time grid.
 
     Entry (i, j) is d_factor(H_i, H_j) * (|t_j|^a + |t_i|^a - |t_j - t_i|^a)
-    with a = H_i + H_j. Only the upper triangle is evaluated, in blocks of
-    _COV_BLOCK rows written into one preallocated matrix; each block is also
-    written, transposed, below the diagonal, so the matrix is exactly symmetric.
+    with a = H_i + H_j. Only the upper triangle is evaluated, in row blocks
+    written into one preallocated matrix; each block is also written,
+    transposed, below the diagonal, so the matrix is exactly symmetric.
+
+    Blocks have _COV_BLOCK // w rows, with w = min(usable CPUs,
+    ceil(n / _COV_BLOCK)). The calling thread and w - 1 helper threads take
+    them in turn and run numpy ufuncs, which release the interpreter lock; at
+    w = 1 no thread is started. Each thread evaluates its blocks into its own
+    workspace of 4 x (_COV_BLOCK // w) x n floats, all allocated by the calling
+    thread, so the build holds about 4 x _COV_BLOCK x n floats whatever the CPU
+    count. The block of rows [r0, r1) writes only rows [r0, r1) from column r0
+    on and columns [r0, r1) from row r1 on, so no two blocks write the same
+    entry. Every entry takes the same ufuncs on the same operands in any block,
+    so the matrix is bitwise the same for any w. The helpers are joined before
+    the function returns, also when a block raises; the first error is then
+    raised in the calling thread.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -177,22 +208,77 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     g = _gamma(2.0 * h + 1.0) * np.sin(np.pi * h)
     n = times.size
     cov = np.empty((n, n))
-    for r0 in range(0, n, _COV_BLOCK):
-        r1 = min(r0 + _COV_BLOCK, n)
+    workers = min(_usable_cpus(), -(-n // _COV_BLOCK))
+    step = _COV_BLOCK // workers
+
+    def fill(r0: int, work: np.ndarray, finite: np.ndarray) -> None:
+        # d * (|t_j|^a + |t_i|^a - |t_j - t_i|^a) with d = sqrt(g_i g_j) /
+        # (2 G(a + 1) sin(pi a / 2)), ufunc by ufunc in evaluation order, each
+        # result written into a C-contiguous slice of this thread's workspace
+        r1 = min(r0 + step, n)
         rows, cols = slice(r0, r1), slice(r0, n)
-        a = h[rows, None] + h[None, cols]
-        d = np.sqrt(np.outer(g[rows], g[cols])) / (
-            2.0 * _gamma(a + 1.0) * np.sin(np.pi * a / 2.0)
-        )
-        if not np.all(np.isfinite(d)):
+        size, shape = (r1 - r0) * (n - r0), (r1 - r0, n - r0)
+        a, den, d, tmp = (buf[:size].reshape(shape) for buf in work)
+        np.add(h[rows, None], h[None, cols], out=a)
+        np.add(a, 1.0, out=den)
+        _gamma(den, out=den)
+        np.multiply(2.0, den, out=den)
+        np.multiply(np.pi, a, out=tmp)
+        np.divide(tmp, 2.0, out=tmp)
+        np.sin(tmp, out=tmp)
+        np.multiply(den, tmp, out=den)
+        np.multiply(g[rows, None], g[None, cols], out=d)
+        np.sqrt(d, out=d)
+        np.divide(d, den, out=d)
+        if not np.isfinite(d, out=finite[:size].reshape(shape)).all():
             raise ValueError("non-finite coupling factor in covariance assembly")
-        powers = tt[None, cols] ** a + tt[rows, None] ** a
-        block = d * (powers - np.abs(times[None, cols] - times[rows, None]) ** a)
+        block = den  # the denominator is spent; its slice takes the block
+        np.power(tt[None, cols], a, out=block)
+        np.power(tt[rows, None], a, out=tmp)
+        np.add(block, tmp, out=block)
+        np.subtract(times[None, cols], times[rows, None], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.power(tmp, a, out=tmp)
+        np.subtract(block, tmp, out=block)
+        np.multiply(d, block, out=block)
         # the diagonal square mirrors its own upper triangle, like every other entry
         square = block[:, : r1 - r0]
         cov[rows, rows] = np.triu(square) + np.triu(square, 1).T
         cov[rows, r1:] = block[:, r1 - r0 :]
         cov[r1:, rows] = block[:, r1 - r0 :].T
+
+    # Every thread's workspace is allocated here. What a helper allocates comes
+    # from its own glibc malloc arena, which stays resident after the helper
+    # exits: helpers that allocated their own temporaries raised the peak of
+    # `simulate --n 2000` by 11 MB from its second Hurst profile on.
+    rows_max = min(step, n)
+    work = np.empty((workers, 4, rows_max * n))
+    finite = np.empty((workers, rows_max * n), dtype=bool)
+    pending = iter(range(0, n, step))
+    lock = threading.Lock()
+    errors = []
+
+    def drain(k: int) -> None:
+        while not errors:
+            with lock:
+                r0 = next(pending, None)
+            if r0 is None:
+                return
+            try:
+                fill(r0, work[k], finite[k])
+            except BaseException as exc:  # raised again in the calling thread
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=drain, args=(k,)) for k in range(1, workers)]
+    for helper in helpers:
+        helper.start()
+    try:
+        drain(0)
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[0]
     return cov
 
 
@@ -211,13 +297,18 @@ def fbm_increment_cov_matrix(h: float, var1: float, m: int, delta: float = 1.0) 
 def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix, with escalating jitter.
 
+    cov must be exactly symmetric: the function factors its transposed view,
+    which then holds the same values. For a C-ordered cov that view is
+    F-ordered, so numpy copies it into LAPACK's column-major buffer
+    contiguously rather than with a stride of n.
+
     The matrix itself is factored first. Only if that fails is additive
     diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up. Every
     level shifts a fresh copy of cov in one reused array, bit for bit
     cov + jitter * np.eye(n).
     """
     try:
-        return np.linalg.cholesky(cov)
+        return np.linalg.cholesky(cov.T)
     except np.linalg.LinAlgError:
         pass
     shifted = np.empty(cov.shape)
@@ -225,7 +316,7 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
         np.add(cov, 0.0, out=shifted)
         shifted.flat[:: len(shifted) + 1] += jitter
         try:
-            return np.linalg.cholesky(shifted)
+            return np.linalg.cholesky(shifted.T)
         except np.linalg.LinAlgError:
             continue
     raise FactorizationError(

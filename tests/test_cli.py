@@ -15,7 +15,7 @@ from covclust import (
     processes,
 )
 from covclust.evaluation import simulate_pool
-from covclust.cli import main
+from covclust.cli import _CONFIG_KEYS, main
 from covclust.seriesio import SchemaError, _read_columns, read_series, write_series
 
 from naive_oracles import rowwise_read_series, rowwise_write_series
@@ -466,6 +466,9 @@ def test_experiment_disjoint_seed_lists_merge(tmp_path):
     ({"case": "const"}, []),
     ({"case": ["mono"]}, []),
     ({"mode": "sideways"}, []),
+    ({"seeds": [-3]}, []),
+    ({"seeds": [0]}, ["--seeds=-1"]),
+    ({"seed": [4], "epochs": [2], "paths_per_group": 2}, []),
 ])
 def test_experiment_rejects_bad_config_values(tmp_path, capsys, monkeypatch, config, flags):
     def no_run(ec):
@@ -477,8 +480,9 @@ def test_experiment_rejects_bad_config_values(tmp_path, capsys, monkeypatch, con
     code = run(["experiment", "--config", cfg, *flags, "--output", tmp_path / "r.csv",
                 "--summary", tmp_path / "s.csv"])
     key = next(iter(config), "paths_per_group")
+    expected = f"{key} " if key in _CONFIG_KEYS else f"unknown key {key!r}\n"
     assert code == 4
-    assert capsys.readouterr().err.startswith(f"error: config: {key} ")
+    assert capsys.readouterr().err.startswith(f"error: config: {expected}")
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import gamma as scipy_gamma
@@ -95,12 +97,58 @@ BLOCKED_BUILD_PROFILES = {
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCKED_BUILD_PROFILES))
-@pytest.mark.parametrize("n", [1, 2, 255, 256, 257, 600])
+@pytest.mark.parametrize("n", [1, 2, 127, 128, 129, 255, 256, 257, 600])
 def test_build_cov_matrix_bitwise_matches_dense(n, kind):
-    # sizes straddle the row-block edge; every entry must equal the one-shot formula
+    # sizes straddle the serial and the threaded row-block edges; every entry
+    # must equal the one-shot formula
     f = BLOCKED_BUILD_PROFILES[kind](n)
     times = np.arange(1, n + 1) / n
     assert build_cov_matrix(f, times).tobytes() == dense_cov_matrix(f, times).tobytes()
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_build_cov_matrix_same_bytes_for_any_worker_count(monkeypatch, n):
+    # 1 CPU builds serially in 256-row blocks; 2 and 3 CPUs split them among
+    # 2 and 3 threads
+    f = HurstFunction.periodic(0.3, 1.0)
+    times = np.arange(1, n + 1) / n
+    threads = threading.active_count()
+    built = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+        built.append(build_cov_matrix(f, times).tobytes())
+        assert threading.active_count() == threads
+    assert built[1] == built[0] and built[2] == built[0]
+
+
+def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
+    # a NaN Gamma in every block of a helper thread, and in every block but the
+    # first on the calling thread; whichever fails first, the error is the serial
+    # one, no factor is cached or evicted, and no thread is left
+    n = 600
+    processes._FACTORS.clear()
+    sample_path(HurstFunction.constant(0.5), 6, 1.0 / 6, seed=0)
+    cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
+    real = processes._gamma
+
+    def nan_in_blocks(x, out=None):
+        out = real(x, out)
+        helper = threading.current_thread() is not threading.main_thread()
+        if out.ndim == 2 and (helper or out.shape[1] < n):
+            out[-1, -1] = np.nan
+        return out
+
+    monkeypatch.setattr(processes, "_gamma", nan_in_blocks)
+    threads = threading.active_count()
+    messages = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+        with pytest.raises(ValueError) as raised:
+            sample_path(HurstFunction.periodic(0.3, 1.0), n, 1.0 / n, seed=0)
+        messages.append(str(raised.value))
+        assert [(key, id(factor)) for key, factor in processes._FACTORS.items()] == cached
+        assert threading.active_count() == threads
+    assert messages == ["non-finite coupling factor in covariance assembly"] * 2
 
 
 def _gamma_arguments(f, n):
@@ -225,8 +273,12 @@ def test_cholesky_with_jitter_levels_are_cov_plus_jitter_eye(monkeypatch, signed
 
 
 def test_cholesky_with_jitter_spd_is_plain_cholesky():
-    cov = build_cov_matrix(HurstFunction.periodic(0.3, 1.0), np.arange(1, 301) / 300)
-    assert cholesky_with_jitter(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
+    # factoring the transposed view of an exactly symmetric matrix changes no bit
+    f = HurstFunction.periodic(0.3, 1.0)
+    for cov in (build_cov_matrix(f, np.arange(1, 301) / 300),
+                build_cov_matrix(f, np.arange(1, 2001) / 2000),
+                fbm_increment_cov_matrix(0.7, 1.0, 500, 0.01)):
+        assert cholesky_with_jitter(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
 
 
 def test_cholesky_with_jitter_indefinite_fails():
