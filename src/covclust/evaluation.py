@@ -49,11 +49,20 @@ class GroundTruth:
             raise ValueError("ground-truth labels must lie in 0..kappa-1")
 
 
+@functools.cache
+def _bijections(kappa: int) -> np.ndarray:
+    """All kappa! label bijections as rows, read-only and shared by every call."""
+    sigmas = np.array(list(itertools.permutations(range(kappa))))
+    sigmas.flags.writeable = False
+    return sigmas
+
+
 def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
     """Minimal fraction of wrongly grouped paths over label bijections.
 
-    Exhaustive over the kappa! bijections for small kappa, optimal assignment
-    on the confusion matrix above that.
+    Exhaustive over the kappa! bijections for small kappa, scored together as
+    one gather from the integer confusion matrix; optimal assignment on the
+    confusion matrix above that.
     """
     if c.labels.size != g.labels.size:
         raise ValueError("clustering and ground truth index different path sets")
@@ -64,10 +73,7 @@ def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
     confusion = np.zeros((kappa, kappa), dtype=int)
     np.add.at(confusion, (c.labels, g.labels), 1)
     if kappa <= _EXHAUSTIVE_KAPPA_LIMIT:
-        agree = max(
-            sum(confusion[k, sigma[k]] for k in range(kappa))
-            for sigma in itertools.permutations(range(kappa))
-        )
+        agree = int(confusion[np.arange(kappa), _bijections(kappa)].sum(axis=1).max())
     else:
         from scipy.optimize import linear_sum_assignment
 

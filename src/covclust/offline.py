@@ -40,11 +40,11 @@ def _validate_matrix(D: np.ndarray) -> np.ndarray:
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValueError("dissimilarity matrix must be square")
-    if not np.all(np.isfinite(D)):
+    if not np.isfinite(D).all():
         raise ValueError("dissimilarity matrix contains non-finite entries")
-    if not np.array_equal(D, D.T):
+    if not (D == D.T).all():
         raise ValueError("dissimilarity matrix must be symmetric")
-    if np.any(np.diag(D) != 0):
+    if D.diagonal().any():
         raise ValueError("dissimilarity matrix must have a zero diagonal")
     return D
 
@@ -59,6 +59,10 @@ def offline_cluster(D, kappa: int) -> Clustering:
     nearest center or lower-indexed point, ties going to the lowest label.
     This is the same as joining the cluster with the nearest current member
     before later points are processed.
+
+    Every call validates D first, in a fixed order: square shape, finite
+    entries, exact symmetry, zero diagonal. The first check that fails raises
+    its ValueError, so a matrix with several faults reports the earliest.
     """
     D = _validate_matrix(D)
     n = D.shape[0]
@@ -73,14 +77,15 @@ def offline_cluster(D, kappa: int) -> Clustering:
     # entry above the diagonal is negative.
     first, second = divmod(int(np.argmax(np.where(idx[:, None] < idx, D, -np.inf))), n)
     centers = [first, second]
-    nearest = np.minimum(D[:, first], D[:, second])
+    # D is symmetric, so each point's distances are read off its contiguous row.
+    nearest = np.minimum(D[first], D[second])
     for _ in range(2, kappa):
         # Chosen centers sit at distance 0 from themselves; mask them so the
         # selection always yields distinct centers even on duplicated points.
         nearest[centers] = -np.inf
         c = int(np.argmax(nearest))
         centers.append(c)
-        np.minimum(nearest, D[:, c], out=nearest)
+        np.minimum(nearest, D[c], out=nearest)
 
     is_center = np.zeros(n, dtype=bool)
     is_center[centers] = True
@@ -88,14 +93,14 @@ def offline_cluster(D, kappa: int) -> Clustering:
     # Row r holds the distances from rest[r] to the points labelled before it.
     near = np.where(is_center | (idx < rest[:, None]), D[rest], np.inf)
     hit = near == near.min(axis=1, keepdims=True)
-    first_hit = np.argmax(hit, axis=1).tolist()
-    tied = set(np.flatnonzero(hit.sum(axis=1) > 1).tolist())
     labels = [-1] * n
     for k, c in enumerate(centers):
         labels[c] = k
-    for r, i in enumerate(rest.tolist()):
-        if r in tied:
+    if hit.sum() == rest.size:
+        # No ties: each point copies the label of its one nearest point.
+        for i, j in zip(rest.tolist(), np.argmax(hit, axis=1).tolist()):
+            labels[i] = labels[j]
+    else:
+        for r, i in enumerate(rest.tolist()):
             labels[i] = min(labels[j] for j in np.flatnonzero(hit[r]).tolist())
-        else:
-            labels[i] = labels[first_hit[r]]
     return Clustering(kappa=kappa, labels=np.array(labels), centers=tuple(centers))

@@ -22,8 +22,10 @@ def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(),
                    D: np.ndarray | None = None) -> Clustering:
     """Cluster the sample paths visible at one epoch, in arrival order, into kappa groups.
 
-    A precomputed dissimilarity matrix over the paths may be passed in;
-    otherwise one is computed here, serially, and shared by all prefix runs.
+    There is one `offline_cluster` run per prefix, each on the leading
+    square of D. A precomputed dissimilarity matrix over the paths may be
+    passed in; otherwise one is computed here, serially, and shared by all
+    prefix runs.
     """
     n = len(paths)
     if n < kappa:
@@ -32,18 +34,18 @@ def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(),
         D = dissimilarity_matrix(paths, cfg, counter=counter)
 
     iu, ju = np.triu_indices(kappa, 1)
+    label_ids = np.arange(kappa)[:, None]
     candidates = []  # per prefix j: kappa sorted candidate center indexes
-    weights = []
     for j in range(kappa, n + 1):
         # Every label occurs, and its first index is that cluster's minimal member.
         prefix = offline_cluster(D[:j, :j], kappa)
-        candidates.append(np.sort(np.unique(prefix.labels, return_index=True)[1]))
-        weights.append(float(default_weights(j)))
+        candidates.append(np.sort(np.argmax(prefix.labels == label_ids, axis=1)))
+    weights = default_weights(np.arange(kappa, n + 1))
 
     cand_idx = np.array(candidates)          # (num_prefixes, kappa)
     # Each prefix's gamma: the minimal separation between its candidates.
     gammas = D[cand_idx[:, iu], cand_idx[:, ju]].min(axis=1) if kappa > 1 else 0.0
-    wg = np.array(weights) * gammas
+    wg = weights * gammas
     eta = float(wg.sum())
 
     if eta == 0.0:

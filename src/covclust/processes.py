@@ -183,7 +183,10 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     Entry (i, j) is d_factor(H_i, H_j) * (|t_j|^a + |t_i|^a - |t_j - t_i|^a)
     with a = H_i + H_j. Only the upper triangle is evaluated, in row blocks
     written into one preallocated matrix; each block is also written,
-    transposed, below the diagonal, so the matrix is exactly symmetric.
+    transposed, below the diagonal. The square a block holds on the diagonal
+    is written as evaluated: every operation of an entry is symmetric in
+    (i, j), so its lower half equals its upper half bit for bit and the
+    matrix is exactly symmetric.
 
     Blocks have _COV_BLOCK // w rows, with w = min(usable CPUs,
     ceil(n / _COV_BLOCK)). The calling thread and w - 1 helper threads take
@@ -241,10 +244,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         np.power(tmp, a, out=tmp)
         np.subtract(block, tmp, out=block)
         np.multiply(d, block, out=block)
-        # the diagonal square mirrors its own upper triangle, like every other entry
-        square = block[:, : r1 - r0]
-        cov[rows, rows] = np.triu(square) + np.triu(square, 1).T
-        cov[rows, r1:] = block[:, r1 - r0 :]
+        cov[rows, r0:] = block
         cov[r1:, rows] = block[:, r1 - r0 :].T
 
     # Every thread's workspace is allocated here. What a helper allocates comes

@@ -1,6 +1,7 @@
 """Deliberately slow, literal reference implementations used as test oracles."""
 
 import csv
+import itertools
 import math
 from pathlib import Path
 
@@ -225,6 +226,19 @@ def prefixwise_online_cluster(D, kappa):
         for k in range(kappa)
     )
     return Clustering(kappa=kappa, labels=labels, centers=centers)
+
+
+def permutationwise_misclassification_rate(c, g):
+    """Misclassification rate scored one label bijection at a time, in Python."""
+    n = g.labels.size
+    kappa = g.kappa
+    confusion = np.zeros((kappa, kappa), dtype=int)
+    np.add.at(confusion, (c.labels, g.labels), 1)
+    agree = max(
+        sum(confusion[k, sigma[k]] for k in range(kappa))
+        for sigma in itertools.permutations(range(kappa))
+    )
+    return (n - agree) / n
 
 
 def naive_hurst(f, t):

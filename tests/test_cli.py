@@ -10,6 +10,7 @@ from covclust import (
     ExperimentConfig,
     GroundTruth,
     SamplePath,
+    cli,
     evaluation,
     misclassification_rate,
     processes,
@@ -373,6 +374,26 @@ def test_cluster_online_mode_ragged(tmp_path):
                 "--kappa", "2"]) == 0
     # offline mode must reject the same file
     assert run(["cluster", "--input", f, "--output", out, "--kappa", "2"]) == 3
+
+
+def test_consecutive_calls_share_no_parsed_state(tmp_path, monkeypatch, capsys):
+    # one parser serves the process; each call's flags must come from its own argv
+    f = _write_two_group_fixture(tmp_path)
+    real = cli.dissimilarity_matrix
+    seen = []
+    monkeypatch.setattr(cli, "dissimilarity_matrix",
+                        lambda paths, cfg: seen.append(cfg) or real(paths, cfg))
+    common = ["cluster", "--input", f, "--kappa", "2", "--output"]
+    assert run(common + [tmp_path / "k3.csv", "--K", "3"]) == 0
+    assert run(common + [tmp_path / "default.csv"]) == 0
+    assert [cfg.K for cfg in seen] == [3, None]
+    assert seen[1].windows(30) == (5, 24)  # K = isqrt(30) resolved from the data
+    with pytest.raises(SystemExit) as exc:
+        run(common + [tmp_path / "bad.csv", "--K", "three"])
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
+    assert run(common + [tmp_path / "after.csv"]) == 0
+    assert (tmp_path / "after.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
 
 
 def test_ingest_check(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -30,6 +32,8 @@ from covclust.evaluation import (
     online_group_size,
     online_path_length,
 )
+
+from naive_oracles import permutationwise_misclassification_rate
 
 
 def clustering_from(labels, kappa):
@@ -124,6 +128,28 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def _rate_cases(kappa, rng):
+    """Random, tied and partly empty clusterings of 3 * kappa! paths."""
+    n = 3 * math.factorial(kappa)
+    truth = rng.integers(0, kappa, n)
+    yield truth, rng.integers(0, kappa, n)
+    # every (cluster, group) pair equally often: every bijection ties
+    grid = np.array(list(itertools.product(range(kappa), repeat=2)))
+    yield grid[:, 1], grid[:, 0]
+    # clusters left empty: one merged into another, half unused, all but one
+    yield truth, np.where(truth == 0, kappa - 1, truth)
+    yield truth, rng.integers(0, max(kappa // 2, 1), n)
+    yield truth, np.zeros(n, dtype=int)
+
+
+@pytest.mark.parametrize("kappa", range(1, 8))
+def test_rate_matches_permutationwise_oracle(kappa):
+    rng = np.random.default_rng(kappa)
+    for truth, guess in _rate_cases(kappa, rng):
+        c, g = clustering_from(guess, kappa), GroundTruth(kappa=kappa, labels=truth)
+        assert misclassification_rate(c, g) == permutationwise_misclassification_rate(c, g)
 
 
 def test_rate_input_validation():

@@ -89,6 +89,19 @@ def test_validation_errors():
         offline_cluster(dist_matrix([0.0, 1.0]), 3)  # kappa > N
 
 
+@pytest.mark.parametrize("D, message", [
+    ([[0.0, np.nan], [2.0, 0.0]], "contains non-finite entries"),
+    ([[0.0, np.inf], [1.0, 0.0]], "contains non-finite entries"),
+    ([[np.nan, 1.0], [2.0, 1.0]], "contains non-finite entries"),
+    ([[1.0, 1.0], [2.0, 0.0]], "must be symmetric"),
+    ([[0.0, 1.0, np.nan], [1.0, 0.0, 2.0]], "must be square"),
+])
+def test_validation_reports_the_first_failing_check(D, message):
+    # checks run in the order shape, finiteness, symmetry, zero diagonal
+    with pytest.raises(ValueError, match=message):
+        offline_cluster(np.array(D), 1)
+
+
 def test_lowest_index_tie_break():
     # three equidistant points: the farthest pair must be the first in
     # upper-triangle scan order, i.e. (0, 1)

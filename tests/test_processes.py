@@ -121,6 +121,19 @@ def test_build_cov_matrix_same_bytes_for_any_worker_count(monkeypatch, n):
     assert built[1] == built[0] and built[2] == built[0]
 
 
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("kind", ["constant", "monotonic", "periodic"])
+@pytest.mark.parametrize("n", [127, 128, 129, 600])
+def test_build_cov_matrix_diagonal_squares_are_exactly_symmetric(monkeypatch, n, kind, cpus):
+    # each block writes its diagonal square as evaluated, unmirrored; the
+    # square's two halves agree only because every operation of an entry is
+    # symmetric in (i, j). 1 and 2 CPUs give squares of 256 and 128 rows.
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+    f = BLOCKED_BUILD_PROFILES[kind](n)
+    cov = build_cov_matrix(f, np.arange(1, n + 1) / n)
+    assert cov.tobytes() == cov.T.copy().tobytes()
+
+
 def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
     # a NaN Gamma in every block of a helper thread, and in every block but the
     # first on the calling thread; whichever fails first, the error is the serial
