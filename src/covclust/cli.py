@@ -158,16 +158,17 @@ def cmd_experiment(args) -> int:
     epochs = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
     cases, modes = tuple(evaluation.GROUP_H_VALUES), ("offline", "online")
     int_list = "a non-empty list of integers"
+    base = evaluation.ExperimentConfig()
     ec = evaluation.ExperimentConfig(
-        case=pick(args.case, "case", "mono", lambda v: v in cases, " or ".join(cases)),
-        mode=pick(args.mode, "mode", "offline", lambda v: v in modes, " or ".join(modes)),
-        seeds=tuple(pick(seeds, "seeds", [0], is_seed_list,
+        case=pick(args.case, "case", base.case, lambda v: v in cases, " or ".join(cases)),
+        mode=pick(args.mode, "mode", base.mode, lambda v: v in modes, " or ".join(modes)),
+        seeds=tuple(pick(seeds, "seeds", base.seeds, is_seed_list,
                          "a non-empty list of non-negative integers")),
-        epochs=tuple(pick(epochs, "epochs", [5, 20, 50, 100], is_int_list, int_list)),
-        paths_per_group=pick(args.paths_per_group, "paths_per_group", 5,
+        epochs=tuple(pick(epochs, "epochs", base.epochs, is_int_list, int_list)),
+        paths_per_group=pick(args.paths_per_group, "paths_per_group", base.paths_per_group,
                              lambda v: is_int(v) and v >= 1, "an integer >= 1"),
-        dissim=replace(evaluation.ExperimentConfig().dissim,
-                       use_log_star=pick(args.log_star, "log_star", True,
+        dissim=replace(base.dissim,
+                       use_log_star=pick(args.log_star, "log_star", base.dissim.use_log_star,
                                          lambda v: isinstance(v, bool), "true or false")),
     )
     rows = evaluation.run_experiment(ec)
@@ -215,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     clu.set_defaults(func=cmd_cluster)
 
     exp = sub.add_parser("experiment", help="run a synthetic replication")
-    exp.add_argument("--case", choices=["mono", "sin"], default=None)
+    exp.add_argument("--case", choices=list(evaluation.GROUP_H_VALUES), default=None)
     exp.add_argument("--mode", choices=["offline", "online"], default=None)
     exp.add_argument("--seeds", default=None, help="comma-separated seeds")
     exp.add_argument("--epochs", default=None, help="comma-separated epochs")

@@ -17,18 +17,20 @@ nu(l, m) is stored, as one contiguous plane over (window, start) per entry
 a smaller window size, shifted by r starts. Planes c >= 1 are multiplied by
 sqrt(2), so that the plain sum of squared entry differences over the upper
 triangle is the squared Frobenius distance.
-`dissimilarity_matrix` groups its pairs by window layout (K, L), stacks the
-paths of each layout and builds all their features in one call; it then
-reduces each row's pairs against one tile of paths at a time, the tile capped
-in bytes. A pair's value is reduced from the two feature sets alone, with the
-same additions in the same order whatever the tile, so it does not depend on
-the tile and equals what d_star_hat returns for the pair.
+A pair's windows follow its shorter path, so `dissimilarity_matrix` sweeps the
+paths by length: a run of paths with one layout (K, L) builds its features and
+those of every longer path in one call, and reduces each path against
+contiguous tiles of the longer paths, a tile capped in bytes. A pair's value is
+reduced from its two feature sets alone, with the same additions in the same
+order whatever the tile, and (a - b)^2 is (b - a)^2 bit for bit, so it equals
+what d_star_hat returns for the pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -270,9 +272,9 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                          counter: OpCounter | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise d_star_hat values with a zero diagonal.
 
-    Pairs are grouped by the window layout (K, L) they resolve to. The paths
-    of a layout are stacked and their features built in one call; each row's
-    pairs are then reduced against tiles of at most _TILE_BYTES of features.
+    Paths are swept shortest first; a run of equal layouts (K, L) builds its
+    features and those of every longer path in one call, and reduces each path
+    against contiguous tiles of at most _TILE_BYTES of the longer paths' features.
     """
     n_paths = len(paths)
     if n_paths < 2:
@@ -280,27 +282,25 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
     lengths = np.array([len(p) for p in paths])
     n_min = np.minimum.outer(lengths, lengths)
     sizes, first = np.unique(n_min[np.triu_indices(n_paths, 1)], return_index=True)
-    layouts = {}
     for k in np.argsort(first):  # in pair order, so the first infeasible pair raises
-        layouts.setdefault(cfg.windows(int(sizes[k])), []).append(sizes[k])
+        cfg.windows(int(sizes[k]))
+    order = np.argsort(lengths, kind="stable")
     out = np.zeros((n_paths, n_paths))
-    for (K, L), layout_sizes in layouts.items():
-        pairs = np.triu(np.isin(n_min, layout_sizes), 1)
-        if counter is not None:
-            counter.rho += int(pairs.sum()) * L * d_hat_rho_count(K + 1, cfg)
-        members = np.flatnonzero(pairs.any(axis=0) | pairs.any(axis=1))
-        slot = np.zeros(n_paths, dtype=int)
-        slot[members] = np.arange(members.size)
-        stack = np.stack([np.diff(paths[k].values[: K + L + 1]) for k in members])
+    r0 = 0
+    for (K, L), run in groupby(cfg.windows(n) for n in lengths[order[:-1]].tolist()):
+        n_rows, rest = len(list(run)), order[r0:]
+        r0 += n_rows
+        if counter is not None:  # each path of the run pairs with every path after it
+            pairs = sum(range(rest.size - n_rows, rest.size))
+            counter.rho += pairs * L * d_hat_rho_count(K + 1, cfg)
+        stack = np.stack([np.diff(paths[k].values[: K + L + 1]) for k in rest])
         features = _features(stack, K + 1, L, cfg)
         weights = _weights(K + 1)
         tile = max(1, _TILE_BYTES // sum(f[0].nbytes for f in features))
-        for i in members:
-            row = [f[slot[i]] for f in features]
-            cols = np.flatnonzero(pairs[i])
-            for t in range(0, cols.size, tile):
-                j = cols[t : t + tile]
-                s = slot[j]
-                block = slice(s[0], s[-1] + 1) if s[-1] - s[0] + 1 == s.size else s
-                out[i, j] = out[j, i] = _mean_d_hat(row, [f[block] for f in features], weights)
+        for i in range(n_rows):
+            row = [f[i] for f in features]
+            for s in range(i + 1, rest.size, tile):
+                cols = rest[s : s + tile]
+                out[rest[i], cols] = out[cols, rest[i]] = _mean_d_hat(
+                    row, [f[s : s + tile] for f in features], weights)
     return out

@@ -82,10 +82,6 @@ class SamplePath:
     def __len__(self) -> int:
         return self.values.size
 
-    def time_of(self, i: int) -> float:
-        """Time of the i-th sample, 1-based."""
-        return i * self.delta_t
-
     def prefix(self, n: int) -> "SamplePath":
         """The path truncated to its first n values."""
         return SamplePath(self.id, self.values[:n], self.delta_t)
@@ -327,11 +323,12 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
 
 # Bytes of factors kept by `_factor`. A factor takes 8 n^2 bytes. The budget
 # holds the largest experiment working set, 10 factors at n = 305 (7.4 MB: the
-# 5 mono and 5 sin groups of an offline run at full path length), and one
-# factor at n = 2000 (32.0 MB), so the draws of one `simulate` share it. Two
-# n = 2000 factors do not fit, so a new Hurst profile displaces the last one
-# rather than staying resident. A factor larger than the budget is kept alone.
-_FACTOR_BYTES = 32 * 2**20
+# 5 mono and 5 sin groups of an offline run at full path length); two factors
+# at n = 1600 (41.0 MB), so draws alternating between two Hurst values factor
+# each once; and one at n = 2000 (32.0 MB), shared by the draws of a `simulate`.
+# Two n = 2000 factors do not fit, so a new Hurst profile displaces the last
+# one rather than staying resident. A factor larger than the budget is kept alone.
+_FACTOR_BYTES = 48 * 2**20
 # Factors keyed by kind and generation arguments, least recently used first;
 # safe because HurstFunction is frozen/hashable and factors are never written to.
 _FACTORS: OrderedDict = OrderedDict()

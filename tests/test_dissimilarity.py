@@ -288,8 +288,8 @@ def test_d_tilde_star_per_window_scales(use_log_star):
     z2 = sample_path(H2, n, 1.0 / n, seed=(18, 1))
     cfg = DissimConfig(K=K, L=L, use_log_star=use_log_star)
     expected = np.mean([
-        naive_d_hat(np.diff(z1.values[i - 1 : i + K + 1]) / z1.delta_t ** H1(z1.time_of(i)),
-                    np.diff(z2.values[i - 1 : i + K + 1]) / z2.delta_t ** H2(z2.time_of(i)),
+        naive_d_hat(np.diff(z1.values[i - 1 : i + K + 1]) / z1.delta_t ** H1(i * z1.delta_t),
+                    np.diff(z2.values[i - 1 : i + K + 1]) / z2.delta_t ** H2(i * z2.delta_t),
                     use_log_star=use_log_star)
         for i in range(1, L + 1)
     ])
@@ -303,7 +303,7 @@ def test_window_scales_bitwise_match_scalar_powers(make, n, delta_t):
     for h in (-0.45, -0.2, 0.1, 0.37):
         H = make(h, 1.0)
         for L in (1, n // 3, n):
-            expected = np.array([z.delta_t ** naive_hurst(H, z.time_of(i)) for i in range(1, L + 1)])
+            expected = np.array([z.delta_t ** naive_hurst(H, i * z.delta_t) for i in range(1, L + 1)])
             assert _window_scales(z, H, L).tobytes() == expected.tobytes()
 
 
@@ -337,6 +337,16 @@ def test_dissimilarity_matrix_duplicates():
     p = _random_paths(22, 1, 10)[0]
     D = dissimilarity_matrix([p, p, p])
     assert np.all(D == 0.0)
+
+
+def test_dissimilarity_matrix_raises_for_first_infeasible_pair():
+    # pair (0, 1) is infeasible first in row-major order, though path 2 is shorter
+    rng = np.random.default_rng(27)
+    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((5, 20, 4))]
+    counter = OpCounter()
+    with pytest.raises(ValueError, match=r"L <= 0 for paths of length 5 with K=4$"):
+        dissimilarity_matrix(paths, DissimConfig(K=4), counter=counter)
+    assert counter.rho == 0
 
 
 @pytest.mark.parametrize("cfg", [DissimConfig(), DissimConfig(K=4), DissimConfig(K=3, L=5)])

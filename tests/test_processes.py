@@ -324,10 +324,8 @@ def test_sample_path_variance_monte_carlo():
     assert var[1] == pytest.approx(2.0, rel=0.1)
 
 
-def test_prefix_and_time_of():
+def test_prefix():
     p = SamplePath("x", np.arange(5.0) + 1.0, delta_t=0.5)
-    assert p.time_of(1) == 0.5
-    assert p.time_of(5) == 2.5
     q = p.prefix(3)
     assert len(q) == 3
     assert q.delta_t == 0.5
