@@ -36,7 +36,7 @@ _EXIT_IO = 6
 
 _SERIAL_HELP = "accepted for compatibility; D is computed serially"
 # The keys an `experiment --config` file may set.
-_CONFIG_KEYS = ("case", "mode", "seeds", "epochs", "paths_per_group", "log_star")
+_CONFIG_KEYS = ("case", "mode", "seeds", "epochs", "paths_per_group", "path_length", "log_star")
 
 
 class CliError(Exception):
@@ -167,6 +167,8 @@ def cmd_experiment(args) -> int:
         epochs=tuple(pick(epochs, "epochs", base.epochs, is_int_list, int_list)),
         paths_per_group=pick(args.paths_per_group, "paths_per_group", base.paths_per_group,
                              lambda v: is_int(v) and v >= 1, "an integer >= 1"),
+        path_length=pick(args.path_length, "path_length", base.path_length,
+                         lambda v: is_int(v) and v >= 2, "an integer >= 2"),
         dissim=replace(base.dissim,
                        use_log_star=pick(args.log_star, "log_star", base.dissim.use_log_star,
                                          lambda v: isinstance(v, bool), "true or false")),
@@ -221,6 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--seeds", default=None, help="comma-separated seeds")
     exp.add_argument("--epochs", default=None, help="comma-separated epochs")
     exp.add_argument("--paths-per-group", dest="paths_per_group", type=int, default=None)
+    exp.add_argument("--path-length", dest="path_length", type=int, default=None,
+                     help="samples per simulated path")
     exp.add_argument("--log-star", dest="log_star", action="store_true", default=None)
     exp.add_argument("--no-log-star", dest="log_star", action="store_false")
     exp.add_argument("--config", default=None, help="JSON file with default parameters")

@@ -1,15 +1,38 @@
 """Long-format CSV series files: header `series_id,t_index,value`.
 
-t_index is a 0-based contiguous integer per series; values round-trip through
-17-significant-digit decimal text. Ragged collections (unequal lengths) are
-legal for online use only.
+Series files are UTF-8 text. t_index is a 0-based contiguous integer per
+series; values round-trip through 17-significant-digit decimal text, as
+`'%.17g' % x` writes them. Ragged collections (unequal lengths) are legal for
+online use only.
+
+One exact kernel converts both ways. For finite |x| in [1e-4, 1e16),
+`_digits17` returns n = rint(|x| * 10**s) as an int64 of 17 digits, where
+s = 16 - k and k is the decimal exponent of |x|. In that band s <= 20, so
+10**s is an exact double, and Dekker's two-product splits |x| * 10**s into
+hi + lo with no rounding at all: hi is an integer (it is at least
+1e16 > 2**53) and rint(lo) finishes the rounding. The kernel also marks exact
+.5 ties, which both directions leave to Python.
+
+`write_series` renders every value in numpy: the digits of n become ASCII
+eight at a time in uint64 words, `%g`'s fixed notation (a dot after digit k,
+or "0." and zeros before the digits) is opened as a gap in those words, and
+each row's `id,i,` is right-aligned before its value so that a row is one run
+of bytes. Values outside the band, ties and zeros take `'%.17g' % x` one at a
+time. The bytes equal one `'%.17g'` per value.
 
 Files are read in bulk when they are plain text with each series one
-contiguous run of rows, as `write_series` writes them: the text is split at
-commas and newlines, and a series whose t_index text is "0", "1", ... needs no
-index parse. Files with quotes, CR or NUL characters, blank lines, interleaved
-series or any schema error are read row by row. Both reads give the same
-paths and the same errors.
+contiguous run of rows, as `write_series` writes them. The bytes are split at
+commas and newlines in numpy, and a series whose t_index text is "0", "1",
+... needs no index parse. A value field `-?digits[.digits]` with at most 18
+significant digits reads as D * 10**-f; the candidate y = D / 10**f, or else
+its neighbour on the side of D * 10**-f, is taken when the kernel's 17 digits
+of |y| are exactly D * 10**(s - f). The field then is the 17-digit decimal of
+y, which rounds back to y, and `float(field) == y`, because `float` depends
+only on the field's value. Every other field goes through `float()`:
+exponent notation, ties, zeros, and short decimals such as "0.1", whose
+double has other 17 digits. Files with quotes, CR or NUL characters, blank
+lines, interleaved series or any schema error are read row by row. Both
+reads give the same paths and the same errors.
 """
 
 from __future__ import annotations
@@ -17,7 +40,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -25,13 +47,133 @@ import numpy as np
 from .processes import SamplePath
 
 HEADER = ["series_id", "t_index", "value"]
-_HEADER_LINE = ",".join(HEADER) + "\n"
-_CHUNK_CHARS = 1 << 16  # text split into fields at a time, below csv's default field limit
-_NOT_MARKS = bytes(sorted(set(range(256)) - set(b',\n"\r\0')))
+_HEADER_BYTES = (",".join(HEADER) + "\n").encode()
+_CHUNK_ROWS = 1 << 16  # values converted at a time, which bounds the temporary arrays
+_POW10 = np.array([float(10**s) for s in range(24)])  # exact up to 10**22
+_INT10 = 10 ** np.arange(19, dtype=np.int64)
+_SCALE = np.array([10**e if 0 <= e <= 16 else 0 for e in range(-32, 33)], np.int64)  # 10**(i - 32)
+_BYTES_BELOW = np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64)  # mask of the low b bytes
+# _BEFORE[a, j]: the mask of the bytes of word j that lie before byte a of a string
+_BEFORE = _BYTES_BELOW[np.clip(np.arange(33)[:, None] - 8 * np.arange(3), 0, 8)]
+_ZEROS, _DOTS, _MINUS = (np.uint64(int.from_bytes(bytes([c]) * 8, "little"))
+                         for c in b"0.-")  # one character in every byte
+_ZERO_POINT = np.uint64(int.from_bytes(b"0.000000", "little"))  # %g's "0.000" before digits
+_LOW7, _HIGH = np.uint64(0x7F7F7F7F7F7F7F7F), np.uint64(0x8080808080808080)
 
 
 class SchemaError(ValueError):
     """The series file violates the documented schema."""
+
+
+def _halves(a):
+    """Veltkamp's split of a into two halves of 26 bits that sum to a exactly."""
+    c = a * 134217729.0  # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _halves(_POW10)
+
+
+def _times_pow10(ax, s):
+    """(hi, lo) with hi + lo == ax * 10**s exactly: Dekker's two-product."""
+    hi = ax * _POW10[s]
+    ah, al = _halves(ax)
+    ph, pl = _POW10_HI[s], _POW10_LO[s]
+    return hi, ((ah * ph - hi) + ah * pl + al * ph) + al * pl
+
+
+def _digits17(ax):
+    """(n, k, tie) for each ax in [1e-4, 1e16).
+
+    n = rint(ax * 10**(16 - k)) exactly, an int64 in [1e16, 1e17), where k is
+    the decimal exponent that `%.17g` shows for ax; tie marks where
+    ax * 10**(16 - k) lies exactly halfway between two integers.
+    """
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    hi, lo = _times_pow10(ax, 16 - k)
+    # floor(log10) can miss by one next to a power of ten, and n can round up to 1e17
+    edge = np.flatnonzero((hi <= 1e16) | (hi >= 1e17))
+    if edge.size:
+        h, l = hi[edge], lo[edge]
+        k[edge] += ((h > 1e17) | ((h == 1e17) & (l >= 0))).astype(np.int64)
+        k[edge] -= (h < 1e16) | ((h == 1e16) & (l < 0))
+        hi[edge], lo[edge] = _times_pow10(ax[edge], 16 - k[edge])
+    r = np.rint(lo)
+    n = hi.astype(np.int64) + r.astype(np.int64)
+    if edge.size:
+        top = edge[n[edge] == 10**17]  # digits 1000..., exponent k + 1
+        n[top] = 10**16
+        k[top] += 1
+    return n, k, np.abs(lo - r) == 0.5
+
+
+def _ascii8(x):
+    """Eight ASCII digits of each uint64 x < 10**8, the first in the lowest byte."""
+    hi = (x * 109951163) >> 40  # x // 10**4
+    v = hi | ((x - hi * 10000) << 32)  # two 4-digit halves in 32-bit lanes
+    q = ((v * 5243) >> 19) & 0x0000007F0000007F  # // 100 in each lane
+    v = q | ((v - q * 100) << 16)  # four 2-digit quarters in 16-bit lanes
+    q = ((v * 103) >> 10) & 0x000F000F000F000F  # // 10 in each lane
+    return q | ((v - q * 10) << 8) | _ZEROS
+
+
+def _parse8(v):
+    """The number whose eight decimal digits are the bytes of uint64 v, the first lowest."""
+    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
+    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
+    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
+
+
+def _open_gap(words, at, width, fill):
+    """Byte strings in uint64 words, first byte lowest, with `width` < 8 bytes
+    of `fill` inserted at byte `at`; what passes the last word is dropped."""
+    shift = (8 * width).astype(np.uint64)
+    out, prev = [], None
+    for j, w in enumerate(words):
+        moved = w << shift if prev is None else (w << shift) | (prev >> (64 - shift))
+        below, end = _BEFORE[:, j].take(at), _BEFORE[:, j].take(at + width)
+        out.append((w & below) | (fill[j] & end & ~below) | (moved & ~end))
+        prev = w
+    return out
+
+
+def _render(v):
+    """`'%.17g' % x` for each x in v, as rows of 32 bytes and the size of each text."""
+    ax = np.abs(v)
+    fast = (ax >= 1e-4) & (ax < 1e16)
+    n, k, tie = _digits17(np.where(fast, ax, 1.0))
+    fast &= ~tie
+    head, tail = np.divmod(n, 10**8)
+    first, middle = np.divmod(head, 10**8)
+    mid, low = _ascii8(middle.astype(np.uint64)), _ascii8(tail.astype(np.uint64))
+    words = [(first.astype(np.uint64) + 48) | (mid << 8), (mid >> 56) | (low << 8), low >> 56]
+    # trailing zeros are dropped from the 17 digits, never from the integer part
+    zeros = _zero_tail(low)
+    kept = 17 - zeros - np.where(zeros == 8, _zero_tail(mid), 0)
+    point = k >= 0  # a dot after digit k, else "0." and -k - 1 zeros before the digits
+    kept = np.where(point, np.maximum(kept, k + 1), kept)
+    at = np.where(point, k + 1, 0)
+    width = np.where(point, 1, 1 - k)
+    words = _open_gap(words, at, width, [np.where(point, _DOTS, _ZERO_POINT), _DOTS, _DOTS])
+    size = np.where(point, kept + (kept > k + 1), kept + width)
+    neg = np.signbit(v).astype(np.int64)
+    words = _open_gap(words, 0, neg, [_MINUS] * 3)
+    size += neg
+    text = np.zeros((len(v), 4), "<u8")
+    text[:, :3] = np.stack(words, axis=1)
+    text = text.view(np.uint8)
+    for r in np.flatnonzero(~fast):
+        line = b"%.17g" % v[r]
+        text[r, : len(line)] = np.frombuffer(line, np.uint8)
+        size[r] = len(line)
+    return text, size
+
+
+def _zero_tail(w):
+    """How many of the eight ASCII digits in w end in '0's: the zero high bytes of
+    w ^ '0'*8, whose bytes are at most 9, so that the float's exponent is its bit length."""
+    return (64 - np.frexp((w ^ _ZEROS).astype(float))[1]) // 8
 
 
 def _quoted(field: str) -> str:
@@ -41,32 +183,78 @@ def _quoted(field: str) -> str:
     return buf.getvalue()[:-2]
 
 
+def _chunks(lengths):
+    """Runs (path, lo, hi) of rows, grouped into chunks of at most _CHUNK_ROWS rows."""
+    chunk, rows = [], 0
+    for p, n in enumerate(lengths):
+        lo = 0
+        while lo < n:
+            hi = min(n, lo + _CHUNK_ROWS - rows)
+            chunk.append((p, lo, hi))
+            rows += hi - lo
+            lo = hi
+            if rows == _CHUNK_ROWS:
+                yield chunk
+                chunk, rows = [], 0
+    if chunk:
+        yield chunk
+
+
 def write_series(paths, destination) -> None:
     """Write paths in long format, one `id,i,value` line per value.
 
-    Each path becomes one `%` operation: the id, quoted once as the csv
-    module quotes it, joined over `,i,%.17g` tails, formats the whole tuple
-    of values in 17-significant-digit text.
+    The file is UTF-8. Rows are laid out in a byte matrix a chunk at a time:
+    `id,` (quoted as the csv module quotes it), then `i,` right-aligned to a
+    fixed column, then the value from `_render`, so each row is one run of
+    bytes that a mask cuts out.
     """
     destination = Path(destination)
-    tails = [""]  # tails[i + 1] is the format of value i, after the id
-    with destination.open("w", newline="") as fh:
-        fh.write(_HEADER_LINE)
-        for p in paths:
-            values = tuple(p.values.tolist())
-            tails.extend(f",{i},%.17g\n" for i in range(len(tails) - 1, len(values)))
-            sid = _quoted(p.id).replace("%", "%%")
-            fh.write(sid.join(tails[: len(values) + 1]) % values)
+    paths = list(paths)
+    values = [np.asarray(p.values, dtype=float) for p in paths]
+    ids = [np.frombuffer((_quoted(p.id) + ",").encode("utf-8"), np.uint8) for p in paths]
+    longest = max(map(len, values), default=0)
+    digits = len(str(max(longest - 1, 0)))
+    index = np.arange(longest)
+    index_text = np.empty((longest, digits + 1), np.uint8)  # `i,` right-aligned
+    for c in range(digits):
+        index_text[:, digits - 1 - c] = 48 + index // 10**c % 10
+    index_text[:, digits] = 44
+    index_size = np.searchsorted(_INT10[1:], index, side="right") + 2
+    prefix = -(-(max(map(len, ids), default=0) + digits + 1) // 8) * 8  # first byte of the value
+    # a row is the run of bytes from its start column to the end of its value
+    from_start = np.arange(prefix) >= np.arange(prefix + 1)[:, None]
+    to_end = np.arange(32) < np.arange(33)[:, None]
+    with destination.open("wb") as fh:
+        fh.write(_HEADER_BYTES)
+        for chunk in _chunks(list(map(len, values))):
+            text, size = _render(np.concatenate([values[p][lo:hi] for p, lo, hi in chunk]))
+            rows = np.empty((len(text), prefix + 32), np.uint8)
+            rows[:, prefix:] = text
+            rows[np.arange(len(text)), prefix + size] = 10
+            start = np.empty(len(text), np.int64)
+            a = 0
+            for p, lo, hi in chunk:
+                b = a + hi - lo
+                rows[a:b, prefix - digits - 1 : prefix] = index_text[lo:hi]
+                start[a:b] = prefix - index_size[lo:hi] - len(ids[p])
+                for d in range(1, digits + 1):  # rows whose index has d digits
+                    first, last = max(lo, 10 ** (d - 1) * (d > 1)), min(hi, 10**d)
+                    if first < last:
+                        rows[a + first - lo : a + last - lo,
+                             prefix - d - 1 - len(ids[p]) : prefix - d - 1] = ids[p]
+                a = b
+            keep = np.hstack([from_start.take(start, axis=0), to_end.take(size + 1, axis=0)])
+            fh.write(rows[keep])
 
 
 def read_series(source, ragged_ok: bool = False) -> list:
     """Parse a series file into SamplePaths, ordered by first appearance.
 
     A plain file as `write_series` writes it (no quotes, CR, NUL or blank
-    lines, each series one contiguous run of rows) is split with `str.split`
-    a chunk of lines at a time and converted a run at a time. Any other file,
-    and any file that fails a check, is read again by `_read_checked`, whose
-    row-by-row checks define every SchemaError and raise the first one.
+    lines, each series one contiguous run of rows) is split and converted in
+    numpy by `_read_columns`. Any other file, and any file that fails a check,
+    is read again by `_read_checked`, whose row-by-row checks define every
+    SchemaError and raise the first one.
     """
     source = Path(source)
     paths = _read_columns(source, ragged_ok)
@@ -75,70 +263,136 @@ def read_series(source, ragged_ok: bool = False) -> list:
 
 def _read_columns(source: Path, ragged_ok: bool):
     """The paths of a plain, valid file, or None if it is not plain or any check would fail."""
+    with source.open("rb") as fh:
+        data = fh.read()
+    h = len(_HEADER_BYTES)
+    if len(data) <= h or not data.startswith(_HEADER_BYTES):
+        return None
+    if b'"' in data or b"\r" in data or b"\0" in data:
+        return None
+    body = np.frombuffer(data, np.uint8, offset=h)
+    ends = np.flatnonzero(body == 10)
+    if body[-1] != 10:
+        ends = np.append(ends, len(body))
+    commas = np.flatnonzero(body == 44)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # two commas in each line and none elsewhere: each csv row is one line split at its commas
+    if len(commas) != 2 * len(ends):
+        return None
+    c1, c2 = commas[0::2], commas[1::2]
+    if not ((c1 >= starts).all() and (c2 < ends).all()):
+        return None
+    id_size, value_size = c1 - starts, ends - c2 - 1
+    if max(id_size.max(), (c2 - c1).max() - 1, value_size.max()) > csv.field_size_limit():
+        return None  # csv refuses a field this long
+    # 8 bytes from any offset p of the body, at pad offset p + 24
+    pad = np.zeros(len(body) + 48, np.uint8)
+    pad[24:-24] = body
+    words = np.ndarray((len(pad) - 7,), "<u8", pad, strides=(1,))
+
+    same = id_size[1:] == id_size[:-1]  # a row's id equals the id of the row before
+    for q in range(0, int(id_size.max()), 8):
+        w = words[starts + 24 + q]
+        same &= ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.clip(id_size[1:] - q, 0, 8)]) == 0
+    first = np.flatnonzero(np.concatenate(([True], ~same)))
+    counts = np.diff(np.append(first, len(ends)))
     try:
-        with source.open(newline="") as fh:
-            text = fh.read()
+        ids = [data[h + a : h + b].decode("utf-8")
+               for a, b in zip(starts[first].tolist(), c1[first].tolist())]
     except UnicodeDecodeError:
         return None
-    start = text.find("\n") + 1
-    if text[:start] != _HEADER_LINE:
-        return None
-    end = len(text) - text.endswith("\n")
-    limit = csv.field_size_limit()
-    canonical: list[str] = []  # canonical[i] == str(i)
-    runs: dict[str, list] = {}  # id -> [(offset, t_index or None if canonical, values)]
-    sid = None
-    while start < end:
-        stop = text.find("\n", start + _CHUNK_CHARS, end)
-        chunk = text[start : end if stop < 0 else stop]
-        start += len(chunk) + 1
-        # Reduced to commas, newlines, quotes, CRs and NULs, a plain chunk reads
-        # ",,\n" per row: with none of the last three, each csv row is one line
-        # split at its commas (UTF-8 puts no ASCII byte inside another character).
-        marks = chunk.encode("utf-8", "surrogatepass").translate(None, _NOT_MARKS)
-        rows = len(marks) // 3 + 1
-        if marks != b",,\n" * (rows - 1) + b",,":
+    if len(set(ids)) < len(ids):
+        return None  # a series in more than one run
+
+    # t_index text equal to "i," for the row's place i in its run
+    pos = np.arange(len(ends)) - np.repeat(first, counts)
+    index = np.arange(min(int(counts.max()), 10**7))
+    bits = (8 * np.searchsorted(_INT10[1:], index, side="right") + 8).astype(np.uint64)
+    canon = (_ascii8(index.astype(np.uint64)) >> (64 - bits)) | (np.uint64(44) << bits)
+    keep = (np.uint64(1) << (bits + 8)) - 1  # the digits and the comma
+    place = np.minimum(pos, len(index) - 1)
+    canonical = (((words[c1 + 25] ^ canon[place]) & keep[place]) == 0) & (pos < len(index))
+    values = np.concatenate([_parse_values(pad, words, ends[a : a + _CHUNK_ROWS] + 24,
+                                           value_size[a : a + _CHUNK_ROWS])
+                             for a in range(0, len(ends), _CHUNK_ROWS)])
+    for r in np.flatnonzero(np.isnan(values)):
+        try:
+            values[r] = float(data[h + c2[r] + 1 : h + ends[r]].decode("utf-8"))
+        except (ValueError, UnicodeDecodeError):
             return None
-        if len(chunk) > limit and max(map(len, chunk.split("\n"))) > limit:
-            return None  # csv refuses a field this long
-        fields = chunk.replace("\n", ",").split(",")
-        t_text, v_text = fields[1::3], fields[2::3]
-        row = 0
-        for run_id, run in groupby(fields[0::3]):
-            count = len(list(run))
-            if run_id != sid:
-                if run_id in runs:
-                    return None  # not one contiguous run
-                sid, offset, pieces = run_id, 0, runs.setdefault(run_id, [])
-            t_run, v_run = t_text[row : row + count], v_text[row : row + count]
-            row += count
-            canonical.extend(map(str, range(len(canonical), offset + count)))
-            try:
-                values = np.fromiter(map(float, v_run), float, count)
-                t_index = (None if t_run == canonical[offset : offset + count]
-                           else np.fromiter(map(int, t_run), np.int64, count))
-            except (ValueError, OverflowError):
-                return None
-            pieces.append((offset, t_index, values))
-            offset += count
+
+    if not np.isfinite(values).all():
+        return None
     paths = []
-    for sid, pieces in runs.items():
-        values = np.concatenate([v for _, _, v in pieces])
-        n = len(values)
-        if any(t is not None for _, t, _ in pieces):
-            t_index = np.concatenate([np.arange(o, o + len(v)) if t is None else t
-                                      for o, t, v in pieces])
+    for sid, a, n, plain in zip(ids, first.tolist(), counts.tolist(),
+                                np.logical_and.reduceat(canonical, first).tolist()):
+        run = values[a : a + n]
+        if not plain:
+            try:
+                t_index = np.array([int(data[h + c1[r] + 1 : h + c2[r]].decode("utf-8"))
+                                    for r in range(a, a + n)], np.int64)
+            except (ValueError, OverflowError, UnicodeDecodeError):
+                return None
             order = np.argsort(t_index)
             # sorted indexes equal to 0..n-1: none negative, duplicated or missing
             if not np.array_equal(t_index[order], np.arange(n)):
                 return None
-            values = values[order]
-        if n < 2 or not np.isfinite(values).all():
+            run = run[order]
+        if n < 2:
             return None
-        paths.append(SamplePath(id=sid, values=values))
-    if not paths or (len({len(p) for p in paths}) > 1 and not ragged_ok):
+        paths.append(SamplePath(id=sid, values=run))
+    if len({len(p) for p in paths}) > 1 and not ragged_ok:
         return None
     return paths
+
+
+def _parse_values(pad, words, ends, size):
+    """Each value field ending before pad offset `ends` as float, or NaN where
+    only `float()` can tell: not `-?digits[.digits]`, over 18 significant
+    digits, zero, outside [1e-4, 1e16), a tie, or no candidate verified."""
+    minus = pad[ends - size] == 45
+    # the 24 bytes that end each field as three words; inside marks its bytes after any sign
+    w = words[(ends - 24)[:, None] + np.arange(0, 24, 8)]
+    inside = ~_BEFORE.take(np.maximum(24 - size + minus, 0), axis=0)
+    t = w ^ _ZEROS
+    other = ((((t & _LOW7) + 0x7676767676767676) | t) & _HIGH) & inside  # 0x80 on non-digits
+    x = w ^ _DOTS
+    dot = ~(((x & _LOW7) + _LOW7) | x) & _HIGH & inside  # 0x80 on dots (zero bytes of x)
+    same = other == dot
+    dots = np.bitwise_count(dot)
+    count = dots[:, 0] + dots[:, 1] + dots[:, 2]
+    ok = (size <= 24) & same[:, 0] & same[:, 1] & same[:, 2] & (count <= 1) & (size - minus > count)
+    digits = t & inside & ~((other >> 7) * 255)  # digit values, 0 elsewhere
+    # close the dot's gap: the bytes up to it move up by one
+    later = dot != 0
+    later[:, 1] |= later[:, 2]
+    later[:, 0] |= later[:, 1]
+    gap = np.where(later, (dot << 1) - 1, 0)  # the bytes up to the dot
+    moved = digits << 8
+    moved[:, 1:] |= digits[:, :-1] >> 56
+    top, middle, low = _parse8((digits & ~gap) | (moved & gap)).astype(np.int64).T
+    at = np.bitwise_count(gap)
+    at = (at[:, 0] + at[:, 1] + at[:, 2]) // 8
+    ok &= top < 100  # at most 18 significant digits, so D fits an int64
+    d = np.where(ok, top, 0) * 10**16 + middle * 10**8 + low
+    f = np.where(count == 1, 24 - at, 0)
+    y = d / _POW10[f]
+    values = np.full(len(ends), np.nan)
+    idx = np.flatnonzero(ok & (y >= 1e-4) & (y < 1e16))
+    for _ in range(2):  # D / 10**f, then its neighbour on the side of the field's value
+        if not idx.size:
+            break
+        cand = y[idx]
+        inband = (cand >= 1e-4) & (cand < 1e16)
+        n, k, tie = _digits17(np.where(inband, cand, 1.0))
+        want = d[idx] * _SCALE[48 - k - f[idx]]  # D * 10**(s - f), 0 unless 0 <= s - f <= 16
+        match = inband & ~tie & (want == n)
+        hit = idx[match]
+        values[hit] = np.where(minus[hit], -cand[match], cand[match])
+        miss = inband & ~tie & (want > 0) & ~match
+        idx = idx[miss]
+        y[idx] = np.nextafter(cand[miss], np.where(want[miss] > n[miss], np.inf, 0.0))
+    return values
 
 
 def _read_checked(source: Path, ragged_ok: bool) -> list:
@@ -147,7 +401,7 @@ def _read_checked(source: Path, ragged_ok: bool) -> list:
     The one definition of every SchemaError message.
     """
     rows: dict[str, dict[int, float]] = {}
-    with source.open(newline="") as fh:
+    with source.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -294,7 +294,7 @@ def dense_cov_matrix(f, times):
 
 def rowwise_write_series(paths, destination):
     """One csv row write per value."""
-    with Path(destination).open("w", newline="") as fh:
+    with Path(destination).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(HEADER)
         for p in paths:
@@ -306,7 +306,7 @@ def rowwise_read_series(source, ragged_ok=False):
     """Every row parsed and checked in file order; each series then checked in turn."""
     source = Path(source)
     rows = {}
-    with source.open(newline="") as fh:
+    with source.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

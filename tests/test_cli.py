@@ -81,8 +81,13 @@ def test_schema_rejects_duplicates_and_gaps(tmp_path):
 # series files against the row-by-row reference writer and reader
 # ---------------------------------------------------------------------------
 
-AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp", "50%", "%d", "%(x)s", "%%"]
-AWKWARD_VALUES = [-0.0, 5e-324, 1e308, -1.5, 1 / 3]
+AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp", "50%", "%d", "%(x)s", "%%", "é"]
+AWKWARD_VALUES = [-0.0, 5e-324, 1e308, -1.5, 1 / 3,
+                  # exact ties of the 17th digit: ...312|5 and ...937|5
+                  1 + 2**-17, 1 + 3 * 2**-17,
+                  # the ends of the kernel's band, and each power of ten with its neighbours
+                  *(y for x in (1e-4, 1e16, *(10.0**k for k in range(-5, 18)))
+                    for y in (np.nextafter(x, 0), x, np.nextafter(x, np.inf)))]
 
 
 def test_write_series_bytes_match_rowwise_writer(tmp_path):
@@ -213,6 +218,20 @@ def test_series_round_trip_matches_rowwise(tmp_path_factory, cases):
     for ragged_ok in (False, True):
         got = _read_outcome(read_series, d / "joined.csv", ragged_ok)
         assert got == _read_outcome(rowwise_read_series, d / "joined.csv", ragged_ok)
+
+
+def test_simulate_file_reads_and_writes_as_rowwise(tmp_path):
+    # 100 x 2000 values, nearly all in the kernel's band: every bulk-read value
+    # is bit-equal to float() of its field, and the rewrite is byte-equal
+    f = tmp_path / "sim.csv"
+    assert run(["simulate", "--hurst", "sin:0.3,1.0", "--n", "2000", "--paths", "100",
+                "--delta-t", "0.0005", "--seed", "7", "--output", f]) == 0
+    assert _read_columns(f, False) is not None
+    got = _read_outcome(read_series, f, False)
+    assert got == _read_outcome(rowwise_read_series, f, False)
+    paths = [SamplePath(sid, np.frombuffer(values)) for sid, values in got]
+    rowwise_write_series(paths, tmp_path / "rowwise.csv")
+    assert f.read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -513,3 +532,49 @@ def test_experiment_bad_config_file(tmp_path, capsys):
     code = run(["experiment", "--config", cfg, "--output", tmp_path / "r.csv",
                 "--summary", tmp_path / "s.csv"])
     assert code == 4
+
+
+def test_experiment_path_length_key_and_flag(tmp_path, capsys):
+    common = ["experiment", "--case", "mono", "--seeds", "0", "--epochs", "2,5",
+              "--paths-per-group", "2", "--summary"]
+    base = tmp_path / "base"
+    assert run(common + [f"{base}s.csv", "--output", f"{base}r.csv"]) == 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"path_length": 305}))
+    keyed = tmp_path / "keyed"
+    assert run(common + [f"{keyed}s.csv", "--output", f"{keyed}r.csv", "--config", cfg]) == 0
+    flagged = tmp_path / "flagged"
+    assert run(common + [f"{flagged}s.csv", "--output", f"{flagged}r.csv",
+                         "--path-length", "305"]) == 0
+    for name in ("s.csv", "r.csv"):
+        want = (tmp_path / f"base{name}").read_bytes()
+        assert (tmp_path / f"keyed{name}").read_bytes() == want
+        assert (tmp_path / f"flagged{name}").read_bytes() == want
+    capsys.readouterr()
+    # epoch 5 needs 3 * 5 + 5 = 20 samples
+    short = tmp_path / "short"
+    assert run(common + [f"{short}s.csv", "--output", f"{short}r.csv",
+                         "--path-length", "19"]) == 5
+    assert capsys.readouterr().err.startswith("error: infeasible: epoch 5 needs 20 samples")
+
+
+@pytest.mark.parametrize("config, flags", [
+    ({"path_length": 1}, []),
+    ({"path_length": 305.0}, []),
+    ({"path_length": "305"}, []),
+    ({"path_length": True}, []),
+    ({}, ["--path-length", "1"]),
+    ({"path_length": 305}, ["--path-length", "-5"]),
+])
+def test_experiment_rejects_bad_path_length(tmp_path, capsys, monkeypatch, config, flags):
+    def no_run(ec):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(evaluation, "run_experiment", no_run)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code = run(["experiment", "--config", cfg, *flags, "--output", tmp_path / "r.csv",
+                "--summary", tmp_path / "s.csv"])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error: config: path_length must be an integer >= 2")
+    assert not (tmp_path / "r.csv").exists()
