@@ -183,17 +183,17 @@ def _quoted(field: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _chunks(lengths):
-    """Runs (path, lo, hi) of rows, grouped into chunks of at most _CHUNK_ROWS rows."""
+def _chunks(lengths, size):
+    """Runs (path, lo, hi) of rows, grouped into chunks of at most `size` rows."""
     chunk, rows = [], 0
     for p, n in enumerate(lengths):
         lo = 0
         while lo < n:
-            hi = min(n, lo + _CHUNK_ROWS - rows)
+            hi = min(n, lo + size - rows)
             chunk.append((p, lo, hi))
             rows += hi - lo
             lo = hi
-            if rows == _CHUNK_ROWS:
+            if rows == size:
                 yield chunk
                 chunk, rows = [], 0
     if chunk:
@@ -221,12 +221,11 @@ def write_series(paths, destination) -> None:
     index_text[:, digits] = 44
     index_size = np.searchsorted(_INT10[1:], index, side="right") + 2
     prefix = -(-(max(map(len, ids), default=0) + digits + 1) // 8) * 8  # first byte of the value
-    # a row is the run of bytes from its start column to the end of its value
-    from_start = np.arange(prefix) >= np.arange(prefix + 1)[:, None]
-    to_end = np.arange(32) < np.arange(33)[:, None]
+    # at most _CHUNK_ROWS rows of 64 bytes at a time, fewer rows when long ids widen them
+    chunk_rows = max(1, min(_CHUNK_ROWS, _CHUNK_ROWS * 64 // (prefix + 32)))
     with destination.open("wb") as fh:
         fh.write(_HEADER_BYTES)
-        for chunk in _chunks(list(map(len, values))):
+        for chunk in _chunks(list(map(len, values)), chunk_rows):
             text, size = _render(np.concatenate([values[p][lo:hi] for p, lo, hi in chunk]))
             rows = np.empty((len(text), prefix + 32), np.uint8)
             rows[:, prefix:] = text
@@ -243,7 +242,8 @@ def write_series(paths, destination) -> None:
                         rows[a + first - lo : a + last - lo,
                              prefix - d - 1 - len(ids[p]) : prefix - d - 1] = ids[p]
                 a = b
-            keep = np.hstack([from_start.take(start, axis=0), to_end.take(size + 1, axis=0)])
+            # a row is the run of bytes from its start column to the end of its value
+            keep = np.hstack([np.arange(prefix) >= start[:, None], np.arange(32) <= size[:, None]])
             fh.write(rows[keep])
 
 
@@ -290,10 +290,19 @@ def _read_columns(source: Path, ragged_ok: bool):
     pad[24:-24] = body
     words = np.ndarray((len(pad) - 7,), "<u8", pad, strides=(1,))
 
-    same = id_size[1:] == id_size[:-1]  # a row's id equals the id of the row before
-    for q in range(0, int(id_size.max()), 8):
-        w = words[starts + 24 + q]
-        same &= ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.clip(id_size[1:] - q, 0, 8)]) == 0
+    # a row's id equals the id of the row before: its first 8 bytes, then 8 at a
+    # time for the pairs (row i, row i + 1) still equal with id bytes left, so no
+    # word is read past an id's end
+    w = words[starts + 24]
+    same = (id_size[1:] == id_size[:-1]) & (
+        ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.minimum(id_size[1:], 8)]) == 0)
+    pair, q = np.flatnonzero(same & (id_size[1:] > 8)), 8
+    while pair.size:
+        left = id_size[pair] - q
+        w = words[starts[pair] + 24 + q] ^ words[starts[pair + 1] + 24 + q]
+        differ = (w & _BYTES_BELOW[np.minimum(left, 8)]) != 0
+        same[pair[differ]] = False
+        pair, q = pair[~differ & (left > 8)], q + 8
     first = np.flatnonzero(np.concatenate(([True], ~same)))
     counts = np.diff(np.append(first, len(ends)))
     try:

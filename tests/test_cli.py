@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,7 +82,8 @@ def test_schema_rejects_duplicates_and_gaps(tmp_path):
 # series files against the row-by-row reference writer and reader
 # ---------------------------------------------------------------------------
 
-AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp", "50%", "%d", "%(x)s", "%%", "é"]
+AWKWARD_IDS = ["", "a,b", 'q"t', "new\nline", " sp", "50%", "%d", "%(x)s", "%%",
+               "long_id_" * 8, "é"]
 AWKWARD_VALUES = [-0.0, 5e-324, 1e308, -1.5, 1 / 3,
                   # exact ties of the 17th digit: ...312|5 and ...937|5
                   1 + 2**-17, 1 + 3 * 2**-17,
@@ -123,6 +125,9 @@ READ_CORPUS = [
                  id="duplicate-in-second-run"),
     pytest.param(HEAD + "a,00,1\na,+1,2\na, 2,3\n", False, None, id="non-canonical-index"),
     pytest.param(HEAD + "a,0,1\na,1,2", False, None, id="no-final-newline"),
+    # the id-run check reads no id bytes past the end of the file
+    pytest.param(HEAD + f"{'a' * 40},0,1\n{'a' * 40},1,2\nb,0,1\nb,1,2\n", False, None,
+                 id="long-id-then-short-series"),
     pytest.param("series_id,t_index,value\ra,0,1\ra,1,2\r", False, None, id="lone-cr"),
     pytest.param("series_id,t_index,value,\na,0,1\na,1,2\n", False, "line 1: expected header",
                  id="header-trailing-comma"),
@@ -201,7 +206,26 @@ def test_read_series_matches_rowwise_reader_across_chunks(tmp_path):
         assert (_read_columns(g, False) is not None) == (name != "duplicate-late"), name
 
 
-SERIES_IDS = st.text(st.sampled_from(list(',"\n\r% ab_')), max_size=6)
+def test_long_ids_write_and_read_as_rowwise(tmp_path):
+    # 8000-byte ids make rows wide, so the writer takes a few hundred rows at a
+    # time, its chunks cross the paths and its memory stays near one chunk
+    rng = np.random.default_rng(5)
+    paths = [SamplePath(c * 8000, rng.standard_normal(300)) for c in "abc"]
+    tracemalloc.start()
+    try:
+        write_series(paths, tmp_path / "joined.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    rowwise_write_series(paths, tmp_path / "rowwise.csv")
+    assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "rowwise.csv").read_bytes()
+    assert _read_columns(tmp_path / "joined.csv", False) is not None
+    got = _read_outcome(read_series, tmp_path / "joined.csv", False)
+    assert got == [(p.id, p.values.tobytes()) for p in paths]
+
+
+SERIES_IDS = st.text(st.sampled_from(list(',"\n\r% ab_')), max_size=40)
 SERIES_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
                           st.floats(allow_nan=False, allow_infinity=False))
 
