@@ -91,6 +91,8 @@ def _write_csv(path: Path, header, rows) -> None:
 
 
 def cmd_simulate(args) -> int:
+    if args.paths < 1:
+        raise CliError("config", f"--paths must be at least 1, got {args.paths}", _EXIT_CONFIG)
     f = _parse_hurst(args.hurst)
     paths = [
         sample_path(f, args.n, args.delta_t, seed=(args.seed, idx), id=f"path{idx}")

@@ -113,12 +113,12 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     which lie in [1, 3] because HurstFunction holds every H in (0, 1). Below 1,
     where cephes steps up more than once, the result is wrong.
 
-    Each element takes cephes' operations in cephes' order. x >= 3 steps down
-    once (x -> x - 1, z = x); that changes no bit at 3 itself but keeps the
-    port exact up to 4. x < 2 takes z = 1/x and x -> x + 1. Then y = x - 2,
-    and the result is z * P(y) / Q(y), both by Horner's rule. So for x < 2,
-    y is (x + 1) - 2, which is not x - 1 bit for bit. At y = 0 the ratio is
-    exactly 1, so cephes' early return at x == 2 needs no branch.
+    Each element takes cephes' operations in cephes' order. x < 2 takes
+    z = 1/x and x -> x + 1. Then y = x - 2, and the result is z * P(y) / Q(y),
+    both by Horner's rule. So for x < 2, y is (x + 1) - 2, which is not x - 1
+    bit for bit. At y = 0 the ratio is exactly 1, so cephes' early return at
+    x == 2 needs no branch. Cephes steps x >= 3 down once (x -> x - 1,
+    z = x); at 3 itself that changes no bit, so it is left out.
 
     The work runs in chunks of _GAMMA_CHUNK elements with in-place ufuncs on
     preallocated buffers. A chunk is read before its result is written, so
@@ -132,11 +132,10 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     size = min(flat_x.size, _GAMMA_CHUNK)
     y, z, p, q, low = (np.empty(size) for _ in range(5))
-    top = np.empty(size, dtype=bool)
     for start in range(0, flat_x.size, _GAMMA_CHUNK):
         xs = flat_x[start : start + _GAMMA_CHUNK]
         k = xs.size
-        yk, zk, pk, qk, lk, tk = y[:k], z[:k], p[:k], q[:k], low[:k], top[:k]
+        yk, zk, pk, qk, lk = y[:k], z[:k], p[:k], q[:k], low[:k]
         # The 0/1 factor `low` selects exactly (x + 0.0 == x, 0.0 / x + 1.0 ==
         # 1.0). Ufuncs and copies masked by x < 2, which splits these arguments
         # about evenly, ran 10-30 times slower than these unmasked passes.
@@ -145,10 +144,6 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         np.subtract(1.0, lk, out=pk)
         zk += pk
         np.add(xs, lk, out=yk)
-        np.greater_equal(xs, 3.0, out=tk)
-        steps = np.flatnonzero(tk)
-        yk[steps] -= 1.0
-        zk[steps] = yk[steps]
         yk -= 2.0
         np.multiply(yk, _GAMMA_P[0], out=pk)
         for c in _GAMMA_P[1:-1]:

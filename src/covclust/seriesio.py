@@ -20,19 +20,24 @@ each row's `id,i,` is right-aligned before its value so that a row is one run
 of bytes. Values outside the band, ties and zeros take `'%.17g' % x` one at a
 time. The bytes equal one `'%.17g'` per value.
 
-Files are read in bulk when they are plain text with each series one
-contiguous run of rows, as `write_series` writes them. The bytes are split at
-commas and newlines in numpy, and a series whose t_index text is "0", "1",
-... needs no index parse. A value field `-?digits[.digits]` with at most 18
-significant digits reads as D * 10**-f; the candidate y = D / 10**f, or else
-its neighbour on the side of D * 10**-f, is taken when the kernel's 17 digits
-of |y| are exactly D * 10**(s - f). The field then is the 17-digit decimal of
-y, which rounds back to y, and `float(field) == y`, because `float` depends
-only on the field's value. Every other field goes through `float()`:
-exponent notation, ties, zeros, and short decimals such as "0.1", whose
-double has other 17 digits. Files with quotes, CR or NUL characters, blank
-lines, interleaved series or any schema error are read row by row. Both
-reads give the same paths and the same errors.
+Files are read in bulk only in the layout `write_series` writes: no quotes,
+CR or NUL characters, each series one contiguous run of rows whose t_index
+text is the row's place in the run ("0", "1", ...), and a newline after every
+row. The bytes are split at commas and newlines in numpy, and the t_index
+text is compared with that place, never parsed. A value field
+`-?digits[.digits]` with at most 18 significant digits reads as D * 10**-f;
+the candidate y = D / 10**f, or else its neighbour on the side of D * 10**-f,
+is taken when the kernel's 17 digits of |y| are exactly D * 10**(s - f).
+The field then is the 17-digit decimal of y, which rounds back to y, and
+`float(field) == y`, because `float` depends only on the field's value.
+Every other field goes through `float()`: exponent notation, ties, zeros,
+and short decimals such as "0.1", whose double has other 17 digits.
+
+Every other file is read row by row: other t_index text ("00", "+1", rows
+out of order), no final newline, blank lines, interleaved series, or any
+schema error. Both reads give the same paths and the same errors. A line
+that is not UTF-8, or a field over csv's length limit, is a SchemaError that
+names its line.
 """
 
 from __future__ import annotations
@@ -250,11 +255,12 @@ def write_series(paths, destination) -> None:
 def read_series(source, ragged_ok: bool = False) -> list:
     """Parse a series file into SamplePaths, ordered by first appearance.
 
-    A plain file as `write_series` writes it (no quotes, CR, NUL or blank
-    lines, each series one contiguous run of rows) is split and converted in
-    numpy by `_read_columns`. Any other file, and any file that fails a check,
-    is read again by `_read_checked`, whose row-by-row checks define every
-    SchemaError and raise the first one.
+    A file in the layout `write_series` writes (no quotes, CR, NUL or blank
+    lines, each series one contiguous run of rows indexed 0, 1, ..., a newline
+    after every row) is split and converted in numpy by `_read_columns`. Any
+    other file, and any file that fails a check, is read again by
+    `_read_checked`, whose row-by-row checks define every SchemaError and
+    raise the first one.
     """
     source = Path(source)
     paths = _read_columns(source, ragged_ok)
@@ -262,7 +268,8 @@ def read_series(source, ragged_ok: bool = False) -> list:
 
 
 def _read_columns(source: Path, ragged_ok: bool):
-    """The paths of a plain, valid file, or None if it is not plain or any check would fail."""
+    """The paths of a valid file in the writer's layout, or None if it is in
+    another layout or any check would fail."""
     with source.open("rb") as fh:
         data = fh.read()
     h = len(_HEADER_BYTES)
@@ -271,9 +278,9 @@ def _read_columns(source: Path, ragged_ok: bool):
     if b'"' in data or b"\r" in data or b"\0" in data:
         return None
     body = np.frombuffer(data, np.uint8, offset=h)
-    ends = np.flatnonzero(body == 10)
     if body[-1] != 10:
-        ends = np.append(ends, len(body))
+        return None  # the writer ends every row with a newline
+    ends = np.flatnonzero(body == 10)
     commas = np.flatnonzero(body == 44)
     starts = np.concatenate(([0], ends[:-1] + 1))
     # two commas in each line and none elsewhere: each csv row is one line split at its commas
@@ -283,8 +290,8 @@ def _read_columns(source: Path, ragged_ok: bool):
     if not ((c1 >= starts).all() and (c2 < ends).all()):
         return None
     id_size, value_size = c1 - starts, ends - c2 - 1
-    if max(id_size.max(), (c2 - c1).max() - 1, value_size.max()) > csv.field_size_limit():
-        return None  # csv refuses a field this long
+    if max(id_size.max(), value_size.max()) > csv.field_size_limit():
+        return None  # csv refuses a field this long; a canonical index is short
     # 8 bytes from any offset p of the body, at pad offset p + 24
     pad = np.zeros(len(body) + 48, np.uint8)
     pad[24:-24] = body
@@ -305,6 +312,8 @@ def _read_columns(source: Path, ragged_ok: bool):
         pair, q = pair[~differ & (left > 8)], q + 8
     first = np.flatnonzero(np.concatenate(([True], ~same)))
     counts = np.diff(np.append(first, len(ends)))
+    if counts.min() < 2:
+        return None
     try:
         ids = [data[h + a : h + b].decode("utf-8")
                for a, b in zip(starts[first].tolist(), c1[first].tolist())]
@@ -320,7 +329,8 @@ def _read_columns(source: Path, ragged_ok: bool):
     canon = (_ascii8(index.astype(np.uint64)) >> (64 - bits)) | (np.uint64(44) << bits)
     keep = (np.uint64(1) << (bits + 8)) - 1  # the digits and the comma
     place = np.minimum(pos, len(index) - 1)
-    canonical = (((words[c1 + 25] ^ canon[place]) & keep[place]) == 0) & (pos < len(index))
+    if not ((((words[c1 + 25] ^ canon[place]) & keep[place]) == 0) & (pos < len(index))).all():
+        return None
     values = np.concatenate([_parse_values(pad, words, ends[a : a + _CHUNK_ROWS] + 24,
                                            value_size[a : a + _CHUNK_ROWS])
                              for a in range(0, len(ends), _CHUNK_ROWS)])
@@ -332,24 +342,8 @@ def _read_columns(source: Path, ragged_ok: bool):
 
     if not np.isfinite(values).all():
         return None
-    paths = []
-    for sid, a, n, plain in zip(ids, first.tolist(), counts.tolist(),
-                                np.logical_and.reduceat(canonical, first).tolist()):
-        run = values[a : a + n]
-        if not plain:
-            try:
-                t_index = np.array([int(data[h + c1[r] + 1 : h + c2[r]].decode("utf-8"))
-                                    for r in range(a, a + n)], np.int64)
-            except (ValueError, OverflowError, UnicodeDecodeError):
-                return None
-            order = np.argsort(t_index)
-            # sorted indexes equal to 0..n-1: none negative, duplicated or missing
-            if not np.array_equal(t_index[order], np.arange(n)):
-                return None
-            run = run[order]
-        if n < 2:
-            return None
-        paths.append(SamplePath(id=sid, values=run))
+    paths = [SamplePath(id=sid, values=values[a : a + n])
+             for sid, a, n in zip(ids, first.tolist(), counts.tolist())]
     if len({len(p) for p in paths}) > 1 and not ragged_ok:
         return None
     return paths
@@ -404,14 +398,34 @@ def _parse_values(pad, words, ends, size):
     return values
 
 
+def _csv_rows(fh, source: Path):
+    """The csv rows of `fh`, a file opened with errors="surrogateescape". A line
+    holding a byte that is not UTF-8, or a field longer than csv's limit,
+    raises a SchemaError naming its line when the reader reaches it."""
+    def lines():
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")  # an escaped byte is a lone surrogate
+                except UnicodeEncodeError:
+                    raise SchemaError(f"{source}: line {lineno}: not UTF-8 text") from None
+            yield line
+
+    reader = csv.reader(lines())
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
+
+
 def _read_checked(source: Path, ragged_ok: bool) -> list:
     """Row-by-row parse: the paths of a valid file, else the first error in file order.
 
     The one definition of every SchemaError message.
     """
     rows: dict[str, dict[int, float]] = {}
-    with source.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with source.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = _csv_rows(fh, source)
         try:
             header = next(reader)
         except StopIteration:

@@ -306,15 +306,30 @@ def rowwise_read_series(source, ragged_ok=False):
     """Every row parsed and checked in file order; each series then checked in turn."""
     source = Path(source)
     rows = {}
-    with source.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+
+    def utf8_lines(fh):
+        for lineno, line in enumerate(fh, start=1):
+            if any("\udc80" <= c <= "\udcff" for c in line):
+                raise SchemaError(f"{source}: line {lineno}: not UTF-8 text")
+            yield line
+
+    with source.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(utf8_lines(fh))
         try:
             header = next(reader)
         except StopIteration:
             raise SchemaError(f"{source}: empty file") from None
+        except csv.Error as exc:
+            raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
         if header != HEADER:
             raise SchemaError(f"{source}: line 1: expected header {','.join(HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno in itertools.count(start=2):
+            try:
+                row = next(reader)
+            except StopIteration:
+                break
+            except csv.Error as exc:
+                raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
             if not row:
                 continue
             if len(row) != 3:

@@ -135,6 +135,15 @@ READ_CORPUS = [
     pytest.param(HEAD + "a,0,1\na,x,2\n" + "".join(f"b,{i},1\n" for i in range(3000))
                  + "b,3000,\udcff\n", False, "line 3: non-integer",
                  id="bad-index-before-undecodable-byte"),
+    pytest.param(HEAD + "a,0,1.5\na,1,\udcff\n", False, "line 3: not UTF-8", id="undecodable-byte"),
+    # the undecodable byte lies in the same block of text as the earlier error
+    pytest.param(HEAD + "a,0,1\na,x,2\na,1,\udcff\n", False, "line 3: non-integer",
+                 id="bad-index-just-before-undecodable-byte"),
+    # the first bad byte's line, before a later row's error and within a quoted id's lines
+    pytest.param(HEAD + 'a,0,1\n"x\ny\udce9",0,1\na,x,2\n', False, "line 4: not UTF-8",
+                 id="undecodable-byte-in-quoted-id"),
+    pytest.param(HEAD + "a,0,1\na,1,2\n" + "b" * 140_000 + ",0,1\n", False,
+                 "line 4: field larger than field limit", id="field-over-limit"),
     pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
     pytest.param(HEAD + "a,0,1\na,2,2\n", False, "gap", id="gap"),
     pytest.param(HEAD + "a,0,1\na,99999999999999999999,2\n", False, "gap", id="index-beyond-int64"),
@@ -202,8 +211,8 @@ def test_read_series_matches_rowwise_reader_across_chunks(tmp_path):
         g.write_text(head + "".join(body))
         got = _read_outcome(read_series, g, False)
         assert got == _read_outcome(rowwise_read_series, g, False), name
-        # every valid variant takes the string-split read, not the row-by-row one
-        assert (_read_columns(g, False) is not None) == (name != "duplicate-late"), name
+        # only the writer's layout takes the bulk read; reordered rows are read row by row
+        assert (_read_columns(g, False) is not None) == (name == "as-written"), name
 
 
 def test_long_ids_write_and_read_as_rowwise(tmp_path):
@@ -299,6 +308,16 @@ def test_simulate_bad_hurst_spec(tmp_path, capsys):
     code = run(["simulate", "--hurst", "warp:0.5", "--output", tmp_path / "x.csv"])
     assert code == 4
     assert capsys.readouterr().err.startswith("error: config:")
+
+
+@pytest.mark.parametrize("paths", [0, -1])
+def test_simulate_rejects_fewer_than_one_path(tmp_path, capsys, paths):
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", "constant:0.5", "--paths", paths, "--output", out])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
+    assert not out.exists()
 
 
 def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
@@ -403,6 +422,23 @@ def test_non_finite_value_is_schema_error(tmp_path, capsys, bad):
     for line in err:
         assert line.startswith("error: schema:")
         assert f"line 5: non-finite value '{bad}'" in line
+
+
+@pytest.mark.parametrize("bad, message", [("undecodable", "line 3: not UTF-8 text"),
+                                          ("oversized", "line 2: field larger than field limit")])
+def test_unreadable_text_is_schema_error(tmp_path, capsys, bad, message):
+    f = tmp_path / f"{bad}.csv"
+    if bad == "undecodable":
+        f.write_bytes(b"series_id,t_index,value\na,0,1.5\na,1,\xff\n")
+    else:  # the writer writes the id; csv refuses to read it back
+        write_series([SamplePath("i" * 140_000, np.arange(2.0))], f)
+    assert run(["ingest-check", "--input", f]) == 3
+    assert run(["cluster", "--input", f, "--output", tmp_path / "x.csv", "--kappa", "1"]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2
+    for line in err:
+        assert line.startswith("error: schema:")
+        assert message in line
 
 
 def test_cluster_online_mode_ragged(tmp_path):
