@@ -93,6 +93,11 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_simulate(args) -> int:
     if args.paths < 1:
         raise CliError("config", f"--paths must be at least 1, got {args.paths}", _EXIT_CONFIG)
+    if args.n < 2:
+        raise CliError("config", f"--n must be at least 2, got {args.n}", _EXIT_CONFIG)
+    if not 0 < args.delta_t < np.inf:
+        raise CliError("config", f"--delta-t must be positive and finite, got {args.delta_t}",
+                       _EXIT_CONFIG)
     f = _parse_hurst(args.hurst)
     paths = [
         sample_path(f, args.n, args.delta_t, seed=(args.seed, idx), id=f"path{idx}")

@@ -24,6 +24,11 @@ contiguous tiles of the longer paths, a tile capped in bytes. A pair's value is
 reduced from its two feature sets alone, with the same additions in the same
 order whatever the tile, and (a - b)^2 is (b - a)^2 bit for bit, so it equals
 what d_star_hat returns for the pair.
+The reduction is bound by its passes over memory, so two shortcuts save
+passes without changing a bit: the m = 1 term takes |b - a| for the root of
+its one square, and log* of plane 0, whose entries are never negative nor
+-0.0, is a plain ln without the sign passes. `_mean_d_hat` and `_features`
+say why each is exact.
 """
 
 from __future__ import annotations
@@ -154,6 +159,10 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
     Window s holds x[..., s : s+n_w]. Its covariance entries are divided by
     scales[..., s]**2 when scales are given, then log* is applied if
     configured, then the off-diagonal planes 1..m-1 are multiplied by sqrt(2).
+    Plane 0 holds means of squares over squared positive scales, so it is
+    never negative and never -0.0: there log* is ln, with 0 sent to ln 1 =
+    +0.0, and its sign passes are skipped. log* runs over views of at most
+    _TILE_BYTES, so its masks stay bounded.
     """
     out = []
     for m in range(1, default_mn(n_w) + 1):
@@ -161,14 +170,25 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
         if scales is not None:
             nu /= (scales * scales)[..., None, :, None]
         if cfg.use_log_star:
-            flat = nu.reshape(-1)  # a view: nu is a fresh contiguous array
-            step = max(1, _TILE_BYTES // flat.itemsize)
-            for start in range(0, flat.size, step):
-                part = flat[start : start + step]
+            plane = nu.shape[-2] * nu.shape[-1]
+            rows = nu.reshape(-1, m * plane)  # a view: nu is a fresh contiguous array
+            for part in _tiles(rows[:, :plane]):
+                part[part == 0] = 1.0
+                np.log(part, out=part)
+            for part in _tiles(rows[:, plane:]):
                 log_star(part, out=part)
         nu[..., 1:, :, :] *= _SQRT2
         out.append(nu)
     return out
+
+
+def _tiles(a: np.ndarray):
+    """Views of at most _TILE_BYTES that cover a, a 2-d view whose rows are contiguous."""
+    step = max(1, _TILE_BYTES // a.itemsize)
+    rows = max(1, step // max(1, a.shape[1]))  # whole rows at a time, or one row in pieces
+    for i in range(0, a.shape[0], rows):
+        for j in range(0, a.shape[1], step):
+            yield a[i : i + rows, j : j + step]
 
 
 def _weights(n_w: int) -> list:
@@ -183,20 +203,32 @@ def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
     f2 has one more leading axis than f1; the result has one value per entry
     of it. For window size m, the squared differences of the entries of
     np.triu_indices(m) are added one after another: entry (r, c) is plane
-    c - r of size m - r, from start r on. Each value is reduced on its own and
-    does not depend on the batch.
+    c - r of size m - r, from start r on, and the first addition makes the
+    sum. Each value is reduced on its own and does not depend on the batch.
+    The m = 1 term, the root of one square, is taken as |b - a|: in binary
+    floating point sqrt(fl(d * d)) == |d| bit for bit whenever d * d is a
+    normal finite double, i.e. for 2**-511 <= |d| < 2**512. log* values lie
+    within +-745 and are 0 or above 1e-16 in magnitude, so with log* every
+    difference qualifies. Without it, a difference outside that range (from
+    increments below about 1e-77 or above about 1e77) gives the exact |d|
+    where the root of the under- or overflowed square would not.
     """
     per_window = 0.0
     diffs = []
-    for a, b, w in zip(f1, f2, weights):
+    for m, (a, b, w) in enumerate(zip(f1, f2, weights), start=1):
         diff = b - a
-        np.multiply(diff, diff, out=diff)
+        if m == 1:
+            term = np.abs(diff[..., 0, :, :])
+        np.multiply(diff, diff, out=diff)  # larger sizes still read diff
         diffs.append(diff)
-        sq = diff[..., 0, :, :].copy()  # larger sizes still read diff
-        for r, d in enumerate(reversed(diffs)):
-            for p in range(r == 0, d.shape[-3]):
-                sq += d[..., p, :, r:]
-        per_window = per_window + np.sqrt(sq, out=sq) @ w
+        if m > 1:
+            planes = [d[..., p, :, r:] for r, d in enumerate(reversed(diffs))
+                      for p in range(d.shape[-3])]
+            term = np.add(planes[0], planes[1])
+            for plane in planes[2:]:
+                term += plane
+            np.sqrt(term, out=term)
+        per_window = per_window + term @ w
     return np.sum(per_window, axis=-1) / per_window.shape[-1]
 
 

@@ -399,9 +399,10 @@ def _parse_values(pad, words, ends, size):
 
 
 def _csv_rows(fh, source: Path):
-    """The csv rows of `fh`, a file opened with errors="surrogateescape". A line
-    holding a byte that is not UTF-8, or a field longer than csv's limit,
-    raises a SchemaError naming its line when the reader reaches it."""
+    """(line, row) for each csv row of `fh`, a file opened with
+    errors="surrogateescape", where line is the physical line the row ends on.
+    A line holding a byte that is not UTF-8, or a field longer than csv's
+    limit, raises a SchemaError naming its line when the reader reaches it."""
     def lines():
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
@@ -413,7 +414,8 @@ def _csv_rows(fh, source: Path):
 
     reader = csv.reader(lines())
     try:
-        yield from reader
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
 
@@ -425,14 +427,14 @@ def _read_checked(source: Path, ragged_ok: bool) -> list:
     """
     rows: dict[str, dict[int, float]] = {}
     with source.open(newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        reader = _csv_rows(fh, source)
+        rows_read = _csv_rows(fh, source)
         try:
-            header = next(reader)
+            _, header = next(rows_read)
         except StopIteration:
             raise SchemaError(f"{source}: empty file") from None
         if header != HEADER:
             raise SchemaError(f"{source}: line 1: expected header {','.join(HEADER)}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in rows_read:
             if not row:
                 continue
             if len(row) != 3:

@@ -323,13 +323,14 @@ def rowwise_read_series(source, ragged_ok=False):
             raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
         if header != HEADER:
             raise SchemaError(f"{source}: line 1: expected header {','.join(HEADER)}")
-        for lineno in itertools.count(start=2):
+        while True:
             try:
                 row = next(reader)
             except StopIteration:
                 break
             except csv.Error as exc:
                 raise SchemaError(f"{source}: line {reader.line_num}: {exc}") from None
+            lineno = reader.line_num  # the physical line the row ends on
             if not row:
                 continue
             if len(row) != 3:

@@ -142,6 +142,9 @@ READ_CORPUS = [
     # the first bad byte's line, before a later row's error and within a quoted id's lines
     pytest.param(HEAD + 'a,0,1\n"x\ny\udce9",0,1\na,x,2\n', False, "line 4: not UTF-8",
                  id="undecodable-byte-in-quoted-id"),
+    # a quoted id that holds a newline spans two lines; later rows keep their own line
+    pytest.param(HEAD + '"x\ny",0,1\na,x,2\n', False, "line 4: non-integer",
+                 id="bad-index-after-multiline-id"),
     pytest.param(HEAD + "a,0,1\na,1,2\n" + "b" * 140_000 + ",0,1\n", False,
                  "line 4: field larger than field limit", id="field-over-limit"),
     pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
@@ -317,6 +320,18 @@ def test_simulate_rejects_fewer_than_one_path(tmp_path, capsys, paths):
     assert code == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: config:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--n", 1), ("--n", 0), ("--delta-t", 0),
+                                         ("--delta-t", -0.5), ("--delta-t", "nan"),
+                                         ("--delta-t", "inf")])
+def test_simulate_rejects_bad_n_and_delta_t(tmp_path, capsys, flag, value):
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", "constant:0.5", flag, value, "--output", out])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: {flag} must be")
     assert not out.exists()
 
 

@@ -83,6 +83,41 @@ def test_log_star_bitwise_matches_masked_oracle():
         assert np.float64(got).tobytes() == np.float64(masked_log_star(v)).tobytes()
 
 
+def test_log_star_variance_planes_take_plain_log_bitwise():
+    # plane 0 skips log*'s sign passes; every plane must still equal log* of the
+    # raw covariances, zeros (a constant path, half-zero steps) giving +0.0
+    rng = np.random.default_rng(31)
+    x = rng.standard_normal((4, 60)) * np.array([[1.0], [1e-3], [1e3], [1.0]])
+    x[1] = 0.0
+    x[3, ::2] = 0.0
+    scales = rng.uniform(0.01, 2.0, (4, 20))
+    for n_w, L, s in ((12, 20, None), (40, 20, scales), (30, 1, None)):
+        got = _features(x, n_w, L, DissimConfig(use_log_star=True), s)
+        for m, f in enumerate(got, start=1):
+            raw = _window_covs(x, n_w, L, m)
+            if s is not None:
+                raw /= (s * s)[..., None, :, None]
+            assert np.any(raw[..., 1:, :, :] < 0) == (m > 1)
+            assert f[..., 0, :, :].tobytes() == log_star(raw[..., 0, :, :]).tobytes()
+            assert f[..., 1:, :, :].tobytes() == (log_star(raw[..., 1:, :, :]) * math.sqrt(2.0)).tobytes()
+        assert np.all(got[0][1] == 0.0) and not np.any(np.signbit(got[0][1]))
+
+
+def test_dissimilarity_matrix_abs_is_root_of_square_bitwise():
+    # the m = 1 term is |b - a| in place of sqrt((b - a)**2): equal wherever the
+    # square is a normal double, 2**-511 <= |d| < 2**512
+    rng = np.random.default_rng(32)
+    d = rng.uniform(1.0, 2.0, 200_000) * np.exp2(rng.integers(-511, 512, 200_000).astype(float))
+    lo, hi = np.exp2(-511.0), np.nextafter(np.exp2(512.0), 0.0)
+    edges = [lo, np.nextafter(lo, 0.0), np.nextafter(lo, 1.0), hi, np.nextafter(hi, 0.0)]
+    d = np.concatenate([d, edges, rng.standard_normal(10_000), [0.0]])
+    for v in (d, -d):
+        assert np.abs(v).tobytes() == np.sqrt(v * v).tobytes()
+    # outside it the square under- or overflows, and |d| is the exact value
+    with np.errstate(over="ignore"):
+        assert np.sqrt(np.float64(1e-160) ** 2) != 1e-160 and np.isinf(np.sqrt(np.exp2(512.0) ** 2))
+
+
 def test_default_weights_positive_and_summable():
     j = np.arange(1, 2000)
     w = default_weights(j)
