@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -78,8 +77,6 @@ def _parse_int_list(text: str, flag: str) -> tuple:
     except ValueError as exc:
         raise CliError("config", f"{flag} expects comma-separated integers: {text!r}",
                        _EXIT_CONFIG) from exc
-    if not values:
-        raise CliError("config", f"{flag} must not be empty", _EXIT_CONFIG)
     return values
 
 
@@ -146,40 +143,16 @@ def cmd_experiment(args) -> int:
         if unknown:
             raise CliError("config", f"unknown key {unknown[0]!r}", _EXIT_CONFIG)
 
-    def pick(flag_value, key, fallback, ok, expected):
-        value = flag_value if flag_value is not None else defaults.get(key, fallback)
-        if not ok(value):
-            raise CliError("config", f"{key} must be {expected}, got {value!r}", _EXIT_CONFIG)
-        return value
-
-    def is_int(value):
-        return isinstance(value, int) and not isinstance(value, bool)
-
-    def is_int_list(value):
-        return isinstance(value, (list, tuple)) and len(value) > 0 and all(map(is_int, value))
-
-    def is_seed_list(value):
-        return is_int_list(value) and min(value) >= 0
-
-    seeds = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
-    epochs = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
-    cases, modes = tuple(evaluation.GROUP_H_VALUES), ("offline", "online")
-    int_list = "a non-empty list of integers"
-    base = evaluation.ExperimentConfig()
-    ec = evaluation.ExperimentConfig(
-        case=pick(args.case, "case", base.case, lambda v: v in cases, " or ".join(cases)),
-        mode=pick(args.mode, "mode", base.mode, lambda v: v in modes, " or ".join(modes)),
-        seeds=tuple(pick(seeds, "seeds", base.seeds, is_seed_list,
-                         "a non-empty list of non-negative integers")),
-        epochs=tuple(pick(epochs, "epochs", base.epochs, is_int_list, int_list)),
-        paths_per_group=pick(args.paths_per_group, "paths_per_group", base.paths_per_group,
-                             lambda v: is_int(v) and v >= 1, "an integer >= 1"),
-        path_length=pick(args.path_length, "path_length", base.path_length,
-                         lambda v: is_int(v) and v >= 2, "an integer >= 2"),
-        dissim=replace(base.dissim,
-                       use_log_star=pick(args.log_star, "log_star", base.dissim.use_log_star,
-                                         lambda v: isinstance(v, bool), "true or false")),
-    )
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
+    flags["seeds"] = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
+    flags["epochs"] = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
+    values = {**defaults, **{key: v for key, v in flags.items() if v is not None}}
+    if "log_star" in values:
+        values["dissim"] = DissimConfig(use_log_star=values.pop("log_star"))
+    try:
+        ec = evaluation.ExperimentConfig(**values)
+    except ValueError as exc:
+        raise CliError("config", str(exc), _EXIT_CONFIG) from exc
     rows = evaluation.run_experiment(ec)
     rate_rows = [[seed, t, format(rate, ".17g")] for seed, t, rate in rows]
     _write_csv(_out_path(args.output), ["seed", "t", "rate"], rate_rows)

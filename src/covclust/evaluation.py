@@ -82,9 +82,19 @@ def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
     return (n - agree) / n
 
 
+def _ints(values, low: int) -> bool:
+    """Whether values is a non-empty list or tuple of ints >= low; a bool is no int here."""
+    return isinstance(values, (list, tuple)) and len(values) > 0 and all(
+        isinstance(v, int) and not isinstance(v, bool) and v >= low for v in values)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parameters of one synthetic clustering experiment.
+    """Parameters of one synthetic clustering experiment, checked when built.
+
+    The first bad field of case, mode, seeds, epochs, paths_per_group,
+    path_length and log_star (`dissim.use_log_star`), in that order, raises
+    `ValueError` "<key> must be ...". Lists of seeds or epochs become tuples.
 
     `dissim` leaves K and L unset by default, so that every epoch uses the
     default windows of `DissimConfig.windows`: K = floor(sqrt(n_min)), all
@@ -100,8 +110,22 @@ class ExperimentConfig:
     path_length: int = 305
 
     def __post_init__(self):
-        if self.case not in GROUP_H_VALUES:
-            raise ValueError(f"unknown case {self.case!r}")
+        log_star = self.dissim.use_log_star
+        for key, value, ok, expected in (
+            ("case", self.case, self.case in tuple(GROUP_H_VALUES), " or ".join(GROUP_H_VALUES)),
+            ("mode", self.mode, self.mode in ("offline", "online"), "offline or online"),
+            ("seeds", self.seeds, _ints(self.seeds, 0),
+             "a non-empty list of non-negative integers"),
+            ("epochs", self.epochs, _ints(self.epochs, 1), "a non-empty list of integers >= 1"),
+            ("paths_per_group", self.paths_per_group, _ints([self.paths_per_group], 1),
+             "an integer >= 1"),
+            ("path_length", self.path_length, _ints([self.path_length], 2), "an integer >= 2"),
+            ("log_star", log_star, isinstance(log_star, bool), "true or false"),
+        ):
+            if not ok:
+                raise ValueError(f"{key} must be {expected}, got {value!r}")
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "epochs", tuple(self.epochs))
 
     @property
     def kappa(self) -> int:
@@ -191,14 +215,12 @@ def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
 def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
-    Each epoch pins the windows `ec.dissim.windows(n_min)` resolves on its
-    shortest path's length, so one K and L serve every pair of the epoch; with
-    the default configuration that is K = floor(sqrt(n_min)) and every window.
+    `ec` has checked its own fields; only an offline epoch t whose 3t+5 values
+    exceed `ec.path_length` raises, as a `ValueError`. Each epoch pins the
+    windows `ec.dissim.windows(n_min)` resolves on its shortest path's length,
+    so one K and L serve every pair of the epoch; with the default
+    configuration that is K = floor(sqrt(n_min)) and every window.
     """
-    if not ec.seeds:
-        raise ValueError("at least one seed is required")
-    if ec.mode not in ("offline", "online"):
-        raise ValueError(f"unknown mode {ec.mode!r}")
     build = build_offline_dataset if ec.mode == "offline" else build_online_dataset
     rows = []
     for seed in ec.seeds:

@@ -83,7 +83,9 @@ class SamplePath:
         return self.values.size
 
     def prefix(self, n: int) -> "SamplePath":
-        """The path truncated to its first n values."""
+        """The path truncated to its first n values, 2 <= n <= len(self)."""
+        if not 2 <= n <= len(self):
+            raise ValueError(f"prefix length must lie in [2, {len(self)}], got {n}")
         return SamplePath(self.id, self.values[:n], self.delta_t)
 
 

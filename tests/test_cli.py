@@ -601,6 +601,18 @@ def test_experiment_rejects_bad_config_values(tmp_path, capsys, monkeypatch, con
     assert not (tmp_path / "r.csv").exists() and not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flags", [["--epochs=-2"], ["--mode", "online", "--epochs=0"],
+                                   ["--epochs", "5,-40"]])
+def test_experiment_rejects_epochs_below_one(tmp_path, capsys, flags):
+    out, summ = tmp_path / "r.csv", tmp_path / "s.csv"
+    code = run(["experiment", "--seeds", "0", "--paths-per-group", "2", *flags,
+                "--output", out, "--summary", summ])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config: epochs must be")
+    assert not out.exists() and not summ.exists()
+
+
 def test_experiment_bad_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -305,6 +306,42 @@ def test_run_experiment_bad_mode():
         run_experiment(ExperimentConfig(mode="sideways", epochs=(1,)))
     with pytest.raises(ValueError):
         run_experiment(ExperimentConfig(seeds=()))
+
+
+# Every bad value that `covclust experiment` rejects with exit 4, and epochs
+# below 1, which would cut the pool's paths by negative slicing.
+@pytest.mark.parametrize("key, value", [
+    ("case", "const"), ("case", ["mono"]), ("mode", "sideways"),
+    ("seeds", "12"), ("seeds", []), ("seeds", [0, True]), ("seeds", [0.0]), ("seeds", [-3]),
+    ("seeds", (-1,)),
+    ("epochs", 5), ("epochs", ["5"]), ("epochs", []), ("epochs", [0]), ("epochs", (5, -2)),
+    ("paths_per_group", "abc"), ("paths_per_group", 2.0), ("paths_per_group", 0),
+    ("paths_per_group", -1), ("paths_per_group", True),
+    ("path_length", 1), ("path_length", 305.0), ("path_length", "305"), ("path_length", True),
+    ("path_length", -5),
+    ("log_star", "false"), ("log_star", 1),
+])
+def test_experiment_config_rejects_bad_values(key, value):
+    kwargs = {"dissim": DissimConfig(use_log_star=value)} if key == "log_star" else {key: value}
+    with pytest.raises(ValueError, match=rf"^{key} must be .+, got {re.escape(repr(value))}$"):
+        ExperimentConfig(**kwargs)
+
+
+def test_experiment_config_reports_the_first_bad_field():
+    with pytest.raises(ValueError, match="^mode must be offline or online"):
+        ExperimentConfig(mode="sideways", seeds=[], epochs=[0], path_length=1)
+    with pytest.raises(ValueError, match="^case must be mono or sin"):
+        ExperimentConfig(case="const", mode="sideways")
+
+
+def test_experiment_config_stores_lists_as_tuples():
+    ec = ExperimentConfig(seeds=[0], epochs=[5], paths_per_group=2)
+    assert ec.seeds == (0,) and ec.epochs == (5,)
+    same = ExperimentConfig(seeds=(0,), epochs=(5,), paths_per_group=2)
+    assert ec == same and hash(ec) == hash(same)
+    rows = run_experiment(ec)
+    assert [(seed, t) for seed, t, _ in rows] == [(0, 5)]
+    assert rows == run_experiment(same)
 
 
 def test_aggregate_rates():

@@ -329,6 +329,15 @@ def test_prefix():
     assert np.array_equal(q.values, p.values[:3])
 
 
+def test_prefix_rejects_lengths_outside_the_path():
+    p = SamplePath("x", np.arange(5.0))
+    assert len(p.prefix(2)) == 2
+    assert p.prefix(5).values.tobytes() == p.values.tobytes()
+    for n in (-1, 0, 1, 6):
+        with pytest.raises(ValueError, match=r"prefix length must lie in \[2, 5\]"):
+            p.prefix(n)
+
+
 def test_sample_fbm_increments_covariance():
     h, n = 0.7, 3
     rows = np.array([sample_fbm_increments(h, n, 1.0, s) for s in range(4000)])
