@@ -198,11 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
     clu.set_defaults(func=cmd_cluster)
 
     exp = sub.add_parser("experiment", help="run a synthetic replication")
-    exp.add_argument("--case", choices=list(evaluation.GROUP_H_VALUES), default=None)
-    exp.add_argument("--mode", choices=["offline", "online"], default=None)
+    exp.add_argument("--case", default=None, help=" or ".join(evaluation.GROUP_H_VALUES))
+    exp.add_argument("--mode", default=None, help="offline or online")
     exp.add_argument("--seeds", default=None, help="comma-separated seeds")
     exp.add_argument("--epochs", default=None, help="comma-separated epochs")
-    exp.add_argument("--paths-per-group", dest="paths_per_group", type=int, default=None)
+    exp.add_argument("--paths-per-group", dest="paths_per_group", type=int, default=None,
+                     help="paths per group in offline mode; no effect online, where each "
+                          "group holds 6 + (max epoch - 1) // 10 paths")
     exp.add_argument("--path-length", dest="path_length", type=int, default=None,
                      help="samples per simulated path")
     exp.add_argument("--log-star", dest="log_star", action="store_true", default=None)

@@ -11,22 +11,30 @@ Hurst value.
 Every measure goes through one kernel. A path's features are the empirical
 covariances nu(l, m) of each of its windows, log*-transformed when configured.
 Entry (r, c) of nu(l, m) is the same suffix sum of the same products, over the
-same count, as entry (0, c - r) of nu(l + r, m - r). So only row 0 of each
-nu(l, m) is stored, as one contiguous plane over (window, start) per entry
-(0, c), and every other entry of the upper triangle is read from the plane of
-a smaller window size, shifted by r starts. Planes c >= 1 are multiplied by
-sqrt(2), so that the plain sum of squared entry differences over the upper
-triangle is the squared Frobenius distance.
+same count, as entry (0, c - r) of nu(l + r, m - r); and entry (0, c) of
+nu(l, m + 1) of window s + 1 is entry (0, c) of nu(l + 1, m) of window s: both
+sum x[t] x[t+c] from the same window end down to the same start, in the same
+order, over the same count. So the features are one array per lag c = 0..m_n-1
+of the suffix means of x[t] x[t+c], by window end and start, and every entry
+of the upper triangle of every nu(l, m) of every window is a view of one of
+them: 81 KB per path at K = 17 (n = 305, m_n = 2, against 119 KB for one plane
+per entry (0, c) of each size) and 2.1 MB at K = 44 (n = 2000, m_n = 3,
+against 4.1 MB). log* runs once per array, and the arrays c >= 1 are multiplied
+by sqrt(2), so that the plain sum of squared entry differences over the upper
+triangle is the squared Frobenius distance. d_tilde_star divides each window by
+its own scale, so an entry that two windows share unscaled takes a different
+value in each: there no window shares a row, and each has its own block.
 A pair's windows follow its shorter path, so `dissimilarity_matrix` sweeps the
 paths by length: a run of paths with one layout (K, L) builds its features and
 those of every longer path in one call, and reduces each path against
-contiguous tiles of the longer paths, a tile capped in bytes. A pair's value is
-reduced from its two feature sets alone, with the same additions in the same
-order whatever the tile, and (a - b)^2 is (b - a)^2 bit for bit, so it equals
-what d_star_hat returns for the pair.
+contiguous tiles of the longer paths, a tile capped in bytes. Each lag's
+difference is taken and squared once per tile, and a pair's value is reduced
+from its two feature sets alone, with the same additions in the same order
+whatever the tile, and (a - b)^2 is (b - a)^2 bit for bit, so it equals what
+d_star_hat returns for the pair.
 The reduction is bound by its passes over memory, so two shortcuts save
 passes without changing a bit: the m = 1 term takes |b - a| for the root of
-its one square, and log* of plane 0, whose entries are never negative nor
+its one square, and log* of lag 0, whose entries are never negative nor
 -0.0, is a plain ln without the sign passes. `_mean_d_hat` and `_features`
 say why each is exact.
 """
@@ -133,62 +141,79 @@ def log_star(x, out=None):
     return float(a) if a.ndim == 0 else a
 
 
-def _window_covs(x: np.ndarray, n_w: int, L: int, m: int) -> np.ndarray:
-    """Row 0 of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w].
+def _lag_means(x: np.ndarray, n_w: int, L: int, m_n: int) -> list:
+    """Per lag c = 0..m_n-1: the suffix means of x[t] x[t+c] that x's L windows of n_w read.
 
-    Shape (..., m, L, n_w-m+1), s = 0..L-1 on the window axis and one leading
-    axis per leading axis of x: one contiguous plane per entry (0, c),
-    c = 0..m-1. Each window's entries are its own suffix sums of the products
-    x[t] x[t+c], so no difference of two long running sums is ever taken and
-    nothing cancels.
+    Array c has shape (..., L+m_n-1-c, n_w-c), one leading axis per leading
+    axis of x. Row i ends at the product t = i + n_w - m_n, and its column k
+    is the mean of the n_w - c - k products up to that end, summed from the
+    end down, as `np.cumsum` over the reversed row adds them. m_n - 1 - c
+    zeros stand before the first product, so that every row is full; no
+    entry that a window reads sums one of them. Entry (0, c) of nu(l, m) of
+    window s, l = 1..n_w-m+1, is row m_n - m + s, column m - 2 - c + l. Each
+    entry is its own suffix sum, so no difference of two long running sums
+    is ever taken and nothing cancels.
     """
-    n_l = n_w - m + 1
-    shifts = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w + L - m, axis=-1)
-    products = shifts[..., :1, :] * shifts
-    per_window = np.lib.stride_tricks.sliding_window_view(products, n_l, axis=-1)
-    out = np.empty(per_window.shape)
-    np.cumsum(per_window[..., ::-1], axis=-1, out=out[..., ::-1])
-    out /= np.arange(n_l, 0, -1, dtype=float)
+    out = []
+    for c in range(m_n):
+        width = n_w - c
+        products = np.empty(x.shape[:-1] + (L + m_n - 2 - c + width,))
+        products[..., : m_n - 1 - c] = 0.0
+        np.multiply(x[..., : n_w + L - 1 - c], x[..., c : n_w + L - 1],
+                    out=products[..., m_n - 1 - c :])
+        ends = np.lib.stride_tricks.sliding_window_view(products, width, axis=-1)
+        a = np.empty(ends.shape)
+        np.cumsum(ends[..., ::-1], axis=-1, out=a[..., ::-1])
+        a /= np.arange(width, 0, -1, dtype=float)
+        out.append(a)
     return out
 
 
 def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
               scales: np.ndarray | None = None) -> list:
-    """Per window size m = 1..m_n: the (..., m, L, n_w-m+1) row-0 feature planes of x's windows.
+    """Per lag c = 0..m_n-1: the feature array of x's L windows x[..., s : s+n_w].
 
-    Window s holds x[..., s : s+n_w]. Its covariance entries are divided by
-    scales[..., s]**2 when scales are given, then log* is applied if
-    configured, then the off-diagonal planes 1..m-1 are multiplied by sqrt(2).
-    Plane 0 holds means of squares over squared positive scales, so it is
-    never negative and never -0.0: there log* is ln, with 0 sent to ln 1 =
-    +0.0, and its sign passes are skipped. log* runs over views of at most
-    _TILE_BYTES, so its masks stay bounded.
+    Without scales these are `_lag_means`' (..., L+m_n-1-c, n_w-c) arrays,
+    whose rows the windows share: row i of window s is row i + s. With
+    scales, window s is divided by scales[..., s]**2, so no row can serve two
+    windows: each window gets its own m_n - c rows, from `_lag_means` of that
+    window alone, and row i of window s is row i*L + s of the contiguous
+    (..., (m_n-c)*L, n_w-c) array. Then log* is applied if configured, and
+    the arrays c >= 1 are multiplied by sqrt(2). Array 0 holds means of
+    squares over squared positive scales, so it is never negative and never
+    -0.0: there log* is ln, with 0 sent to ln 1 = +0.0, and its sign passes
+    are skipped. log* runs over pieces of at most _TILE_BYTES, so its masks
+    stay bounded.
     """
-    out = []
-    for m in range(1, default_mn(n_w) + 1):
-        nu = _window_covs(x, n_w, L, m)
-        if scales is not None:
-            nu /= (scales * scales)[..., None, :, None]
+    m_n = default_mn(n_w)
+    if scales is None:
+        out = _lag_means(x, n_w, L, m_n)
+    else:
+        windows = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w, axis=-1)
+        out = []
+        for a in _lag_means(windows, n_w, 1, m_n):
+            a /= (scales * scales)[..., None, None]
+            a = np.swapaxes(a, -3, -2)
+            out.append(a.reshape(a.shape[:-3] + (-1, a.shape[-1])))  # a contiguous copy
+    for c, a in enumerate(out):
         if cfg.use_log_star:
-            plane = nu.shape[-2] * nu.shape[-1]
-            rows = nu.reshape(-1, m * plane)  # a view: nu is a fresh contiguous array
-            for part in _tiles(rows[:, :plane]):
-                part[part == 0] = 1.0
-                np.log(part, out=part)
-            for part in _tiles(rows[:, plane:]):
-                log_star(part, out=part)
-        nu[..., 1:, :, :] *= _SQRT2
-        out.append(nu)
+            for part in _tiles(a):
+                if c == 0:
+                    part[part == 0] = 1.0
+                    np.log(part, out=part)
+                else:
+                    log_star(part, out=part)
+        if c > 0:
+            a *= _SQRT2
     return out
 
 
 def _tiles(a: np.ndarray):
-    """Views of at most _TILE_BYTES that cover a, a 2-d view whose rows are contiguous."""
-    step = max(1, _TILE_BYTES // a.itemsize)
-    rows = max(1, step // max(1, a.shape[1]))  # whole rows at a time, or one row in pieces
-    for i in range(0, a.shape[0], rows):
-        for j in range(0, a.shape[1], step):
-            yield a[i : i + rows, j : j + step]
+    """Views of at most _TILE_BYTES that cover a, in order; a must be contiguous to be a view."""
+    flat = a.reshape(-1)
+    step = max(1, _TILE_BYTES // flat.itemsize)
+    for i in range(0, flat.size, step):
+        yield flat[i : i + step]
 
 
 def _weights(n_w: int) -> list:
@@ -197,39 +222,47 @@ def _weights(n_w: int) -> list:
             for m in range(1, default_mn(n_w) + 1)]
 
 
-def _mean_d_hat(f1: list, f2: list, weights: list) -> np.ndarray:
-    """Mean over the windows of d_hat between one path's features f1 and each of a batch f2.
+def _mean_d_hat(f1: list, f2: list, weights: list, L: int) -> np.ndarray:
+    """Mean over the L windows of d_hat between one path's features f1 and each of a batch f2.
 
     f2 has one more leading axis than f1; the result has one value per entry
-    of it. For window size m, the squared differences of the entries of
-    np.triu_indices(m) are added one after another: entry (r, c) is plane
-    c - r of size m - r, from start r on, and the first addition makes the
-    sum. Each value is reduced on its own and does not depend on the batch.
-    The m = 1 term, the root of one square, is taken as |b - a|: in binary
-    floating point sqrt(fl(d * d)) == |d| bit for bit whenever d * d is a
-    normal finite double, i.e. for 2**-511 <= |d| < 2**512. log* values lie
-    within +-745 and are 0 or above 1e-16 in magnitude, so with log* every
-    difference qualifies. Without it, a difference outside that range (from
-    increments below about 1e-77 or above about 1e77) gives the exact |d|
-    where the root of the under- or overflowed square would not.
+    of it. Row i of the L windows of lag c is rows i*step .. i*step + L - 1,
+    step being 1 where the windows share rows and L where each has its own
+    (see `_features`); the array's height, L + step*(m_n-c-1), tells which.
+    Each lag's difference b - a is taken and squared once. For window size
+    m, the squared differences of the entries of np.triu_indices(m) are
+    added one after another into a fresh (..., L, n_w-m+1) term: entry
+    (r, r + c) is plane c of size m - r from start r on, that is row
+    m_n - m + r and columns m - 1 - c .. n_w - c - 1 of lag c, and the first
+    addition makes the sum. Each value is reduced on its own and does not
+    depend on the batch. The m = 1 term, the root of one square, is taken as
+    |b - a|: in binary floating point sqrt(fl(d * d)) == |d| bit for bit
+    whenever d * d is a normal finite double, i.e. for 2**-511 <= |d| <
+    2**512. log* values lie within +-745 and are 0 or above 1e-16 in
+    magnitude, so with log* every difference qualifies. Without it, a
+    difference outside that range (from increments below about 1e-77 or
+    above about 1e77) gives the exact |d| where the root of the under- or
+    overflowed square would not.
     """
-    per_window = 0.0
-    diffs = []
-    for m, (a, b, w) in enumerate(zip(f1, f2, weights), start=1):
-        diff = b - a
-        if m == 1:
-            term = np.abs(diff[..., 0, :, :])
-        np.multiply(diff, diff, out=diff)  # larger sizes still read diff
-        diffs.append(diff)
-        if m > 1:
-            planes = [d[..., p, :, r:] for r, d in enumerate(reversed(diffs))
-                      for p in range(d.shape[-3])]
-            term = np.add(planes[0], planes[1])
-            for plane in planes[2:]:
-                term += plane
-            np.sqrt(term, out=term)
-        per_window = per_window + term @ w
-    return np.sum(per_window, axis=-1) / per_window.shape[-1]
+    m_n = len(f1)
+    n_w = f1[0].shape[-1]
+    diffs = [b - a for a, b in zip(f1, f2)]
+    steps = [(d.shape[-2] - L) // max(m_n - c - 1, 1) for c, d in enumerate(diffs)]
+
+    def plane(c, i, m):
+        return diffs[c][..., i * steps[c] : i * steps[c] + L, m - 1 - c : n_w - c]
+
+    total = np.abs(plane(0, m_n - 1, 1)) @ weights[0]
+    for d in diffs:
+        np.multiply(d, d, out=d)
+    for m, w in enumerate(weights[1:], start=2):
+        planes = [plane(c, m_n - m + r, m) for r in range(m) for c in range(m - r)]
+        term = np.add(planes[0], planes[1])
+        for p in planes[2:]:
+            term += p
+        np.sqrt(term, out=term)
+        total += term @ w
+    return np.sum(total, axis=-1) / L
 
 
 def _pair(x1: np.ndarray, x2: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
@@ -237,7 +270,7 @@ def _pair(x1: np.ndarray, x2: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
     """Mean of d_hat over the L windows of n_w increments that x1 and x2 start."""
     x = np.stack([x1[: n_w + L - 1], x2[: n_w + L - 1]])
     f = _features(x, n_w, L, cfg, None if scales is None else np.stack(scales))
-    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w))[0])
+    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w), L)[0])
 
 
 def d_hat_rho_count(n: int, cfg: DissimConfig) -> int:
@@ -334,5 +367,5 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
             for s in range(i + 1, rest.size, tile):
                 cols = rest[s : s + tile]
                 out[rest[i], cols] = out[cols, rest[i]] = _mean_d_hat(
-                    row, [f[s : s + tile] for f in features], weights)
+                    row, [f[s : s + tile] for f in features], weights, L)
     return out

@@ -173,11 +173,17 @@ def offline_path_count(t: int) -> int:
     return 3 * t + 5
 
 
-def build_offline_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
-    """All paths truncated to their first 3t+5 values, group-major order."""
+def _check_epoch(ec: ExperimentConfig, t: int) -> int:
+    """3t+5, the length of epoch t's longest path; raises if the pooled paths are shorter."""
     n_t = offline_path_count(t)
     if n_t > ec.path_length:
         raise ValueError(f"epoch {t} needs {n_t} samples but paths have {ec.path_length}")
+    return n_t
+
+
+def build_offline_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
+    """All paths truncated to their first 3t+5 values, group-major order."""
+    n_t = _check_epoch(ec, t)
     pool = simulate_pool(ec, seed, ec.paths_per_group)
     paths = [p.prefix(n_t) for group in pool for p in group]
     labels = np.repeat(np.arange(ec.kappa), ec.paths_per_group)
@@ -199,13 +205,14 @@ def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
     """The paths visible at epoch t, groups interleaved in fixed arrival order."""
     if t < 1:
         raise ValueError("epoch must be >= 1")
+    _check_epoch(ec, t)
     per_group = online_group_size(max(ec.epochs))
     pool = simulate_pool(ec, seed, per_group)
     visible = online_group_size(t)
     paths = []
     labels = []
     for l in range(1, visible + 1):
-        n_l = min(online_path_length(t, l), ec.path_length)
+        n_l = online_path_length(t, l)
         for gi in range(ec.kappa):
             paths.append(pool[gi][l - 1].prefix(n_l))
             labels.append(gi)
@@ -215,11 +222,12 @@ def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
 def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
-    `ec` has checked its own fields; only an offline epoch t whose 3t+5 values
-    exceed `ec.path_length` raises, as a `ValueError`. Each epoch pins the
-    windows `ec.dissim.windows(n_min)` resolves on its shortest path's length,
-    so one K and L serve every pair of the epoch; with the default
-    configuration that is K = floor(sqrt(n_min)) and every window.
+    `ec` has checked its own fields; only an epoch t whose 3t+5 values, the
+    longest path of the epoch in either mode, exceed `ec.path_length` raises,
+    as a `ValueError`. Each epoch pins the windows `ec.dissim.windows(n_min)`
+    resolves on its shortest path's length, so one K and L serve every pair
+    of the epoch; with the default configuration that is K = floor(sqrt(n_min))
+    and every window.
     """
     build = build_offline_dataset if ec.mode == "offline" else build_online_dataset
     rows = []

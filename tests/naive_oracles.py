@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_vec
 
-from covclust.dissimilarity import default_mn, default_weights
+from covclust.dissimilarity import default_mn, default_weights, log_star
 from covclust.hurst import HurstDomainError
 from covclust.offline import Clustering
 from covclust.processes import SamplePath, d_factor
@@ -373,3 +373,92 @@ def rowwise_read_series(source, ragged_ok=False):
             f"{source}: ragged series lengths {sorted(lengths)} are only allowed in online mode"
         )
     return paths
+
+
+def rowzero_window_covs(x, n_w, L, m):
+    """Row 0 of nu(l, m), l = 1..n_w-m+1, of each window x[..., s : s+n_w], built per size m.
+
+    Shape (..., m, L, n_w-m+1): one plane per entry (0, c), c = 0..m-1, each
+    the suffix means of x[t] x[t+c] of its own window and size.
+    """
+    n_l = n_w - m + 1
+    shifts = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w + L - m, axis=-1)
+    products = shifts[..., :1, :] * shifts
+    per_window = np.lib.stride_tricks.sliding_window_view(products, n_l, axis=-1)
+    out = np.empty(per_window.shape)
+    np.cumsum(per_window[..., ::-1], axis=-1, out=out[..., ::-1])
+    out /= np.arange(n_l, 0, -1, dtype=float)
+    return out
+
+
+def rowzero_features(x, n_w, L, cfg, scales=None):
+    """Per window size m = 1..m_n: the (..., m, L, n_w-m+1) row-0 feature planes of x's windows.
+
+    Window s is divided by scales[..., s]**2 when scales are given; then
+    plane 0 takes ln (0 sent to ln 1) and planes 1..m-1 take log* when
+    configured, and planes 1..m-1 are multiplied by sqrt(2).
+    """
+    out = []
+    for m in range(1, default_mn(n_w) + 1):
+        nu = rowzero_window_covs(x, n_w, L, m)
+        if scales is not None:
+            nu /= (scales * scales)[..., None, :, None]
+        if cfg.use_log_star:
+            variances = nu[..., 0, :, :]
+            variances[variances == 0] = 1.0
+            np.log(variances, out=variances)
+            log_star(nu[..., 1:, :, :], out=nu[..., 1:, :, :])
+        nu[..., 1:, :, :] *= math.sqrt(2.0)
+        out.append(nu)
+    return out
+
+
+def rowzero_mean_d_hat(f1, f2, weights):
+    """Mean over the windows of d_hat between features f1 and each of a batch f2.
+
+    For window size m the squared differences of np.triu_indices(m) are
+    added in order, entry (r, c) read as plane c - r of size m - r from start
+    r on; the m = 1 term is |b - a|.
+    """
+    per_window = 0.0
+    diffs = []
+    for m, (a, b, w) in enumerate(zip(f1, f2, weights), start=1):
+        diff = b - a
+        if m == 1:
+            term = np.abs(diff[..., 0, :, :])
+        np.multiply(diff, diff, out=diff)
+        diffs.append(diff)
+        if m > 1:
+            planes = [d[..., p, :, r:] for r, d in enumerate(reversed(diffs))
+                      for p in range(d.shape[-3])]
+            term = np.add(planes[0], planes[1])
+            for plane in planes[2:]:
+                term += plane
+            np.sqrt(term, out=term)
+        per_window = per_window + term @ w
+    return np.sum(per_window, axis=-1) / per_window.shape[-1]
+
+
+def rowzero_pair(x1, x2, n_w, L, cfg, scales=None):
+    """Mean of d_hat over the L windows of n_w increments that x1 and x2 start, by the row-0 kernel."""
+    x = np.stack([x1[: n_w + L - 1], x2[: n_w + L - 1]])
+    f = rowzero_features(x, n_w, L, cfg, None if scales is None else np.stack(scales))
+    weights = [float(default_weights(m)) * default_weights(np.arange(1, n_w - m + 2))
+               for m in range(1, default_mn(n_w) + 1)]
+    return float(rowzero_mean_d_hat([a[0] for a in f], [a[1:] for a in f], weights)[0])
+
+
+def rowzero_d_star_hat(z1, z2, cfg, scales=None):
+    """d_star_hat (d_tilde_star with scales) by the row-0 kernel, one pair on its own."""
+    K, L = cfg.windows(min(len(z1), len(z2)))
+    return rowzero_pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
+
+
+def rowzero_dissimilarity_matrix(paths, cfg):
+    """D by the row-0 kernel, one pair at a time in index order."""
+    n_paths = len(paths)
+    out = np.zeros((n_paths, n_paths))
+    for i in range(n_paths):
+        for j in range(i + 1, n_paths):
+            out[i, j] = out[j, i] = rowzero_d_star_hat(paths[i], paths[j], cfg)
+    return out

@@ -645,6 +645,31 @@ def test_experiment_path_length_key_and_flag(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: infeasible: epoch 5 needs 20 samples")
 
 
+def test_experiment_online_epoch_longer_than_paths_is_infeasible(tmp_path, capsys):
+    # the longest online path at t = 150 holds 3 * 150 + 5 = 455 samples, as offline
+    common = ["experiment", "--mode", "online", "--seeds", "0", "--epochs", "100,150"]
+    out, summ = tmp_path / "r.csv", tmp_path / "s.csv"
+    assert run(common + ["--output", out, "--summary", summ]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible: epoch 150 needs 455 samples but paths have 305"]
+    assert not out.exists() and not summ.exists()
+    assert run(common + ["--path-length", "455", "--output", out, "--summary", summ]) == 0
+    assert [row.split(",")[:2] for row in out.read_text().splitlines()] == [
+        ["seed", "t"], ["0", "100"], ["0", "150"]]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--case", "const"], "case must be mono or sin, got 'const'"),
+    (["--mode", "sideways"], "mode must be offline or online, got 'sideways'"),
+])
+def test_experiment_case_and_mode_flags_are_config_errors(tmp_path, capsys, flags, message):
+    # ExperimentConfig alone checks them, as it does the same keys in a config file
+    out = tmp_path / "r.csv"
+    assert run(["experiment", *flags, "--output", out, "--summary", tmp_path / "s.csv"]) == 4
+    assert capsys.readouterr().err.splitlines() == [f"error: config: {message}"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("config, flags", [
     ({"path_length": 1}, []),
     ({"path_length": 305.0}, []),

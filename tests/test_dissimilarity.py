@@ -21,7 +21,7 @@ from covclust import (
     sample_path,
 )
 from covclust import dissimilarity
-from covclust.dissimilarity import _features, _window_covs, _window_scales
+from covclust.dissimilarity import _features, _lag_means, _window_scales
 
 from naive_oracles import (
     fullstorage_dissimilarity_matrix,
@@ -30,6 +30,10 @@ from naive_oracles import (
     naive_hurst,
     naive_nu,
     pairwise_dissimilarity_matrix,
+    rowzero_d_star_hat,
+    rowzero_dissimilarity_matrix,
+    rowzero_pair,
+    rowzero_window_covs,
 )
 
 
@@ -84,22 +88,27 @@ def test_log_star_bitwise_matches_masked_oracle():
 
 
 def test_log_star_variance_planes_take_plain_log_bitwise():
-    # plane 0 skips log*'s sign passes; every plane must still equal log* of the
-    # raw covariances, zeros (a constant path, half-zero steps) giving +0.0
+    # lag 0 skips log*'s sign passes; every lag array must still equal log* of the
+    # raw suffix means, zeros (a constant path, half-zero steps) giving +0.0
     rng = np.random.default_rng(31)
     x = rng.standard_normal((4, 60)) * np.array([[1.0], [1e-3], [1e3], [1.0]])
     x[1] = 0.0
     x[3, ::2] = 0.0
     scales = rng.uniform(0.01, 2.0, (4, 20))
     for n_w, L, s in ((12, 20, None), (40, 20, scales), (30, 1, None)):
+        m_n = default_mn(n_w)
         got = _features(x, n_w, L, DissimConfig(use_log_star=True), s)
-        for m, f in enumerate(got, start=1):
-            raw = _window_covs(x, n_w, L, m)
-            if s is not None:
-                raw /= (s * s)[..., None, :, None]
-            assert np.any(raw[..., 1:, :, :] < 0) == (m > 1)
-            assert f[..., 0, :, :].tobytes() == log_star(raw[..., 0, :, :]).tobytes()
-            assert f[..., 1:, :, :].tobytes() == (log_star(raw[..., 1:, :, :]) * math.sqrt(2.0)).tobytes()
+        if s is None:
+            raw = _lag_means(x, n_w, L, m_n)
+        else:  # each window's own rows, divided by its own squared scale; row i of window s at i*L + s
+            windows = np.lib.stride_tricks.sliding_window_view(x[:, : n_w + L - 1], n_w, axis=-1)
+            raw = [np.swapaxes(a / (s * s)[..., None, None], 1, 2).reshape(4, -1, n_w - c)
+                   for c, a in enumerate(_lag_means(windows, n_w, 1, m_n))]
+        assert len(got) == len(raw) == m_n
+        for c, (f, r) in enumerate(zip(got, raw)):
+            assert np.any(r < 0) == (c > 0)
+            expected = log_star(r) if c == 0 else log_star(r) * math.sqrt(2.0)
+            assert f.tobytes() == expected.tobytes()
         assert np.all(got[0][1] == 0.0) and not np.any(np.signbit(got[0][1]))
 
 
@@ -138,21 +147,28 @@ def test_default_mn():
 # ---------------------------------------------------------------------------
 
 
+def row0(x, n_w, L, m, m_n=None):
+    """Row 0 of nu(l, m) of each window, shape (m, L, n_w-m+1), read from the lag arrays."""
+    m_n = m if m_n is None else m_n
+    lags = _lag_means(x, n_w, L, m_n)
+    return np.stack([lags[c][m_n - m : m_n - m + L, m - 1 - c : n_w - c] for c in range(m)])
+
+
 def test_empirical_cov_example():
     # row 0 of nu(1, 2) of x = (1, 2, 3): the mean of (1, 2)(1, 2)^T and (2, 3)(2, 3)^T is
     # [[2.5, 4.0], [4.0, 6.5]]
-    planes = _window_covs(np.array([1.0, 2.0, 3.0]), 3, 1, 2)
+    planes = row0(np.array([1.0, 2.0, 3.0]), 3, 1, 2)
     assert planes.shape == (2, 1, 2)
     np.testing.assert_allclose(planes[:, 0, 0], [2.5, 4.0], atol=1e-14)
 
 
 def test_empirical_cov_zero_path():
-    assert np.all(_window_covs(np.zeros(6), 6, 1, 3) == 0.0)
+    assert all(np.all(a == 0.0) for a in _lag_means(np.zeros(6), 6, 1, 3))
 
 
 def test_empirical_cov_boundary_single_window():
     # the last start l = n - m + 1 averages a single outer product, (3, 4)(3, 4)^T
-    planes = _window_covs(np.array([1.0, 2.0, 3.0, 4.0]), 4, 1, 2)
+    planes = row0(np.array([1.0, 2.0, 3.0, 4.0]), 4, 1, 2)
     np.testing.assert_allclose(planes[:, 0, -1], [9.0, 12.0], atol=1e-14)
 
 
@@ -161,7 +177,7 @@ def test_empirical_cov_matches_naive():
     for n in (3, 10, 57, 305):
         v = rng.standard_normal(n)
         for m in range(1, min(n, 6) + 1):
-            planes = _window_covs(v, n, 1, m)
+            planes = row0(v, n, 1, m, min(n, 6))
             for l in range(1, n - m + 2):
                 naive = naive_nu(v, l, m)[0, :m]
                 np.testing.assert_allclose(planes[:, 0, l - 1], naive, rtol=1e-12)
@@ -176,11 +192,30 @@ def test_empirical_cov_shift_identity_bitwise():
         for m in range(1, 7):
             n_l = n - m + 1
             for r in range(m):
-                shifted = _window_covs(x, n, 1, m - r)[:, 0, r:]
+                shifted = row0(x, n, 1, m - r, 6)[:, 0, r:]
                 for c in range(m - r):
                     products = x[r : r + n_l] * x[r + c : r + c + n_l]
                     entry = np.cumsum(products[::-1])[::-1] / np.arange(n_l, 0, -1, dtype=float)
                     assert shifted[c].tobytes() == entry.tobytes()
+
+
+def test_window_covs_cross_size_identity_bitwise():
+    # plane c of size m + 1 at window s + 1 is plane c of size m at window s from
+    # start l + 1: the same end, the same products, the same count, the same order.
+    # So one array per lag serves every size, and equals the per-size planes
+    rng = np.random.default_rng(2)
+    for n_w, L in ((6, 1), (6, 9), (23, 5), (60, 14)):
+        x = rng.standard_normal((2, n_w + L - 1)) * np.array([[1.0], [1e4]])
+        m_n = min(n_w, 5)
+        for m in range(1, m_n):
+            small, large = rowzero_window_covs(x, n_w, L, m), rowzero_window_covs(x, n_w, L, m + 1)
+            assert large[..., :m, 1:, :].tobytes() == small[..., :, :-1, 1:].tobytes()
+        lags = _lag_means(x, n_w, L, m_n)
+        assert [a.shape for a in lags] == [(2, L + m_n - 1 - c, n_w - c) for c in range(m_n)]
+        for m in range(1, m_n + 1):
+            planes = np.stack([a[:, m_n - m : m_n - m + L, m - 1 - c : n_w - c]
+                               for c, a in enumerate(lags[:m])], axis=1)
+            assert planes.tobytes() == rowzero_window_covs(x, n_w, L, m).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -459,6 +494,46 @@ def test_dissimilarity_matrix_tile_invariant(monkeypatch, lengths):
     D = dissimilarity_matrix(paths, cfg)
     monkeypatch.setattr(dissimilarity, "_TILE_BYTES", 1)
     assert dissimilarity_matrix(paths, cfg).tobytes() == D.tobytes()
+
+
+def _bytes(value):
+    return np.float64(value).tobytes()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_ORACLE_CASES, st.sampled_from([False, True]))
+def test_every_measure_bitwise_matches_rowzero_oracle(case, periodic):
+    # the lag arrays, shared across window sizes, change no bit of any measure;
+    # d_tilde_star's per-window scales (delta_t != 1) share nothing across windows
+    paths, cfg = _oracle_case(*case)
+    D = dissimilarity_matrix(paths, cfg)
+    assert D.tobytes() == rowzero_dissimilarity_matrix(paths, cfg).tobytes()
+    H1 = HurstFunction.periodic(0.3, 1.0) if periodic else HurstFunction.monotonic(-0.3, 1.0)
+    H2 = HurstFunction.monotonic(0.2, 1.0)
+    for i, j in ((0, len(paths) - 1), (1, len(paths) - 1)):
+        z1, z2 = paths[i], paths[j]
+        assert _bytes(d_star_hat(z1, z2, cfg)) == _bytes(rowzero_d_star_hat(z1, z2, cfg))
+        x1, x2 = np.diff(z1.values), np.diff(z2.values)
+        n = min(x1.size, x2.size)
+        assert _bytes(d_hat(IncrementPath(x1), IncrementPath(x2), cfg)) == _bytes(
+            rowzero_pair(x1, x2, n, 1, cfg))
+        t1 = SamplePath("a", z1.values, delta_t=1.0 / len(z1))
+        t2 = SamplePath("b", z2.values, delta_t=1.0 / len(z2))
+        _, L = cfg.windows(min(len(t1), len(t2)))
+        scales = (_window_scales(t1, H1, L), _window_scales(t2, H2, L))
+        assert _bytes(d_tilde_star(t1, t2, H1, H2, cfg)) == _bytes(
+            rowzero_d_star_hat(t1, t2, cfg, scales))
+
+
+@pytest.mark.parametrize("n, K, most", [(305, 17, 81_000), (2000, 44, 2_100_000)])
+def test_feature_bytes_per_path(n, K, most):
+    # the experiment's longest paths (m_n = 2) and the CI memory check's (m_n = 3):
+    # one array per lag holds every window size's planes
+    cfg = DissimConfig(use_log_star=True)
+    K_, L = cfg.windows(n)
+    assert K_ == K
+    per_path = sum(f[0].nbytes for f in _features(np.zeros((1, n - 1)), K + 1, L, cfg))
+    assert per_path <= most
 
 
 # ---------------------------------------------------------------------------
