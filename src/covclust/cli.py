@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -35,7 +36,7 @@ _EXIT_IO = 6
 
 _SERIAL_HELP = "accepted for compatibility; D is computed serially"
 # The keys an `experiment --config` file may set.
-_CONFIG_KEYS = ("case", "mode", "seeds", "epochs", "paths_per_group", "path_length", "log_star")
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(evaluation.ExperimentConfig))
 
 
 class CliError(Exception):
@@ -104,16 +105,15 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _dissim_config(args) -> DissimConfig:
-    return DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star)
-
-
 def cmd_cluster(args) -> int:
+    for flag, value in (("--kappa", args.kappa), ("--K", args.K), ("--L", args.L)):
+        if value is not None and value < 1:
+            raise CliError("config", f"{flag} must be at least 1, got {value}", _EXIT_CONFIG)
     paths = read_series(args.input, ragged_ok=(args.mode == "online"))
     if args.kappa > len(paths):
         raise CliError("infeasible", f"kappa={args.kappa} exceeds {len(paths)} series",
                        _EXIT_INFEASIBLE)
-    cfg = _dissim_config(args)
+    cfg = DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star)
     if args.mode == "offline":
         D = dissimilarity_matrix(paths, cfg)
         clustering = offline_cluster(D, args.kappa)
@@ -147,8 +147,6 @@ def cmd_experiment(args) -> int:
     flags["seeds"] = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
     flags["epochs"] = None if args.epochs is None else _parse_int_list(args.epochs, "--epochs")
     values = {**defaults, **{key: v for key, v in flags.items() if v is not None}}
-    if "log_star" in values:
-        values["dissim"] = DissimConfig(use_log_star=values.pop("log_star"))
     try:
         ec = evaluation.ExperimentConfig(**values)
     except ValueError as exc:

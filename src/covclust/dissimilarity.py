@@ -17,21 +17,20 @@ sum x[t] x[t+c] from the same window end down to the same start, in the same
 order, over the same count. So the features are one array per lag c = 0..m_n-1
 of the suffix means of x[t] x[t+c], by window end and start, and every entry
 of the upper triangle of every nu(l, m) of every window is a view of one of
-them: 81 KB per path at K = 17 (n = 305, m_n = 2, against 119 KB for one plane
-per entry (0, c) of each size) and 2.1 MB at K = 44 (n = 2000, m_n = 3,
-against 4.1 MB). log* runs once per array, and the arrays c >= 1 are multiplied
-by sqrt(2), so that the plain sum of squared entry differences over the upper
-triangle is the squared Frobenius distance. d_tilde_star divides each window by
-its own scale, so an entry that two windows share unscaled takes a different
-value in each: there no window shares a row, and each has its own block.
+them: 81 KB per path at K = 17 (n = 305, m_n = 2) and 2.1 MB at K = 44
+(n = 2000, m_n = 3). log* runs once per array, and the arrays c >= 1 are
+multiplied by sqrt(2), so that the plain sum of squared entry differences over
+the upper triangle is the squared Frobenius distance. d_tilde_star divides each
+window by its own scale, so an entry that two windows share unscaled takes a
+different value in each: it gathers each window's rows of the shared arrays
+into a block of its own, divided by that window's squared scale.
 A pair's windows follow its shorter path, so `dissimilarity_matrix` sweeps the
 paths by length: a run of paths with one layout (K, L) builds its features and
 those of every longer path in one call, and reduces each path against
 contiguous tiles of the longer paths, a tile capped in bytes. Each lag's
 difference is taken and squared once per tile, and a pair's value is reduced
 from its two feature sets alone, with the same additions in the same order
-whatever the tile, and (a - b)^2 is (b - a)^2 bit for bit, so it equals what
-d_star_hat returns for the pair.
+whatever the tile. d_star_hat is the entry of that matrix for its pair.
 The reduction is bound by its passes over memory, so two shortcuts save
 passes without changing a bit: the m = 1 term takes |b - a| for the root of
 its one square, and log* of lag 0, whose entries are never negative nor
@@ -78,21 +77,27 @@ class DissimConfig:
     resolves to floor(sqrt(n_min)), so the windows grow with n but stay local
     (K/n -> 0), and L=None to every window, n_min - K - 1. Window sizes run
     over m = 1..default_mn(K+1) and carry the weights default_weights(m) times
-    default_weights(l) of their starts l.
+    default_weights(l) of their starts l. K and L, when set, must be at
+    least 1.
     """
 
     K: int | None = None
     L: int | None = None
     use_log_star: bool = False
 
+    def __post_init__(self):
+        for key, value in (("K", self.K), ("L", self.L)):
+            if value is not None and value < 1:
+                raise ValueError(f"{key} must be at least 1, got {value}")
+
     def windows(self, n_min: int) -> tuple[int, int]:
         """The (K, L) used on a pair whose shorter path has n_min values."""
         k = math.isqrt(n_min) if self.K is None else self.K
-        if k < 1:
-            raise ValueError(f"window length K={k} infeasible for paths of length {n_min}")
         n_windows = n_min - k - 1
+        if n_windows < 1:
+            raise ValueError(f"window length K={k} infeasible for paths of length {n_min}")
         count = n_windows if self.L is None else self.L
-        if not (1 <= count <= n_windows):
+        if count > n_windows:
             raise ValueError(
                 f"window count L={count} infeasible: need 1 <= L <= {n_windows} "
                 f"for paths of length {n_min} with K={k}"
@@ -173,28 +178,26 @@ def _features(x: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
               scales: np.ndarray | None = None) -> list:
     """Per lag c = 0..m_n-1: the feature array of x's L windows x[..., s : s+n_w].
 
-    Without scales these are `_lag_means`' (..., L+m_n-1-c, n_w-c) arrays,
-    whose rows the windows share: row i of window s is row i + s. With
-    scales, window s is divided by scales[..., s]**2, so no row can serve two
-    windows: each window gets its own m_n - c rows, from `_lag_means` of that
-    window alone, and row i of window s is row i*L + s of the contiguous
-    (..., (m_n-c)*L, n_w-c) array. Then log* is applied if configured, and
-    the arrays c >= 1 are multiplied by sqrt(2). Array 0 holds means of
-    squares over squared positive scales, so it is never negative and never
-    -0.0: there log* is ln, with 0 sent to ln 1 = +0.0, and its sign passes
-    are skipped. log* runs over pieces of at most _TILE_BYTES, so its masks
-    stay bounded.
+    These are `_lag_means`' (..., L+m_n-1-c, n_w-c) arrays, whose rows the
+    windows share: row i of window s is row i + s. With scales, window s is
+    divided by scales[..., s]**2, so no row can serve two windows: the rows
+    i + s are gathered, each window's m_n - c rows apart, so that row i of
+    window s is row i*L + s of a contiguous (..., (m_n-c)*L, n_w-c) array,
+    and divided by window s's squared scale. A row of one window alone would
+    sum some of the m_n - 1 - c leading zeros where the shared row sums
+    products before the window; those entries are never read, and every
+    entry that is read sums the same products in the same order. Then log*
+    is applied if configured, and the arrays c >= 1 are multiplied by
+    sqrt(2). Array 0 holds means of squares over squared positive scales, so
+    it is never negative and never -0.0: there log* is ln, with 0 sent to
+    ln 1 = +0.0, and its sign passes are skipped. log* runs over pieces of at
+    most _TILE_BYTES, so its masks stay bounded.
     """
     m_n = default_mn(n_w)
-    if scales is None:
-        out = _lag_means(x, n_w, L, m_n)
-    else:
-        windows = np.lib.stride_tricks.sliding_window_view(x[..., : n_w + L - 1], n_w, axis=-1)
-        out = []
-        for a in _lag_means(windows, n_w, 1, m_n):
-            a /= (scales * scales)[..., None, None]
-            a = np.swapaxes(a, -3, -2)
-            out.append(a.reshape(a.shape[:-3] + (-1, a.shape[-1])))  # a contiguous copy
+    out = _lag_means(x, n_w, L, m_n)
+    if scales is not None:
+        out = [np.concatenate([a[..., i : i + L, :] for i in range(m_n - c)], axis=-2)
+               / np.tile(scales * scales, m_n - c)[..., None] for c, a in enumerate(out)]
     for c, a in enumerate(out):
         if cfg.use_log_star:
             for part in _tiles(a):
@@ -299,19 +302,13 @@ def d_hat(x1: IncrementPath, x2: IncrementPath, cfg: DissimConfig = DissimConfig
     return _pair(x1.values, x2.values, n, 1, cfg)
 
 
-def _localized(z1: SamplePath, z2: SamplePath, cfg: DissimConfig, counter: OpCounter | None,
-               scales=None) -> float:
-    """Mean of d_hat over the pair's L windows of K+1 increments."""
-    K, L = cfg.windows(min(len(z1), len(z2)))
-    if counter is not None:
-        counter.rho += L * d_hat_rho_count(K + 1, cfg)
-    return _pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
-
-
 def d_star_hat(z1: SamplePath, z2: SamplePath, cfg: DissimConfig = DissimConfig(),
                counter: OpCounter | None = None) -> float:
-    """Localized dissimilarity: mean of d_hat over L windowed increment pairs."""
-    return _localized(z1, z2, cfg, counter)
+    """Localized dissimilarity: mean of d_hat over L windowed increment pairs.
+
+    It is entry (0, 1) of `dissimilarity_matrix([z1, z2], cfg, counter)`.
+    """
+    return float(dissimilarity_matrix([z1, z2], cfg, counter)[0, 1])
 
 
 def _window_scales(z: SamplePath, H: HurstFunction, L: int) -> np.ndarray:
@@ -328,9 +325,11 @@ def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFun
     With delta_t = 1 every scale factor is exactly 1.0, so the result is
     bitwise equal to d_star_hat.
     """
-    _, L = cfg.windows(min(len(z1), len(z2)))
+    K, L = cfg.windows(min(len(z1), len(z2)))
     scales = (_window_scales(z1, H1, L), _window_scales(z2, H2, L))
-    return _localized(z1, z2, cfg, counter, scales)
+    if counter is not None:
+        counter.rho += L * d_hat_rho_count(K + 1, cfg)
+    return _pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
 
 
 def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),

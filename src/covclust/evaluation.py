@@ -6,16 +6,16 @@ datasets additionally grow the number of visible paths per group by one every
 10 epochs, interleaving groups in a fixed global arrival order.
 
 Each epoch is clustered with the paper's localized measure d_star_hat, its
-windows resolved once, by `DissimConfig.windows`, on the length n_min of the
-epoch's shortest path: unless the configuration fixes them, K =
-floor(sqrt(n_min)) and all n_min - K - 1 windows are averaged.
+windows resolved once, by `DissimConfig().windows`, on the length n_min of
+the epoch's shortest path: K = floor(sqrt(n_min)) and all n_min - K - 1
+windows are averaged.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,24 +93,21 @@ class ExperimentConfig:
     """Parameters of one synthetic clustering experiment, checked when built.
 
     The first bad field of case, mode, seeds, epochs, paths_per_group,
-    path_length and log_star (`dissim.use_log_star`), in that order, raises
-    `ValueError` "<key> must be ...". Lists of seeds or epochs become tuples.
-
-    `dissim` leaves K and L unset by default, so that every epoch uses the
-    default windows of `DissimConfig.windows`: K = floor(sqrt(n_min)), all
-    windows.
+    path_length and log_star, in that order, raises `ValueError` "<key> must
+    be ...". Lists of seeds or epochs become tuples. log_star sets
+    `DissimConfig.use_log_star`; the windows are always the default ones of
+    `DissimConfig.windows`.
     """
 
     case: str = "mono"  # a key of GROUP_H_VALUES
     paths_per_group: int = 5
     seeds: tuple = (0,)
     mode: str = "offline"  # "offline" | "online"
-    dissim: DissimConfig = field(default_factory=lambda: DissimConfig(use_log_star=True))
+    log_star: bool = True
     epochs: tuple = (5, 20, 50, 100)
     path_length: int = 305
 
     def __post_init__(self):
-        log_star = self.dissim.use_log_star
         for key, value, ok, expected in (
             ("case", self.case, self.case in tuple(GROUP_H_VALUES), " or ".join(GROUP_H_VALUES)),
             ("mode", self.mode, self.mode in ("offline", "online"), "offline or online"),
@@ -120,7 +117,7 @@ class ExperimentConfig:
             ("paths_per_group", self.paths_per_group, _ints([self.paths_per_group], 1),
              "an integer >= 1"),
             ("path_length", self.path_length, _ints([self.path_length], 2), "an integer >= 2"),
-            ("log_star", log_star, isinstance(log_star, bool), "true or false"),
+            ("log_star", self.log_star, isinstance(self.log_star, bool), "true or false"),
         ):
             if not ok:
                 raise ValueError(f"{key} must be {expected}, got {value!r}")
@@ -145,16 +142,8 @@ def group_hurst(case: str, h: float) -> HurstFunction:
     raise ValueError(f"unknown case {case!r}")
 
 
-# Pools kept by `simulate_pool`, least recently used first out. A pool holds
-# sampled paths only; the factors they are drawn from are bounded by bytes in
-# `processes`.
-CACHE_SIZE = 16
-
-
-# Full-length simulations, reused across epochs so that every epoch's data is
-# a prefix extension of the previous one. Callers share the returned lists and
-# must not modify them.
-@functools.lru_cache(maxsize=CACHE_SIZE)
+# Full-length simulations; every epoch of a seed is cut from the same pool, so
+# that each epoch's data is a prefix extension of the previous one.
 def simulate_pool(ec: ExperimentConfig, seed: int, per_group: int) -> list:
     """per_group full-length paths for each group, deterministic per seed."""
     n = ec.path_length
@@ -173,21 +162,12 @@ def offline_path_count(t: int) -> int:
     return 3 * t + 5
 
 
-def _check_epoch(ec: ExperimentConfig, t: int) -> int:
-    """3t+5, the length of epoch t's longest path; raises if the pooled paths are shorter."""
+def build_offline_dataset(pool: list, t: int):
+    """Every path of the pool truncated to its first 3t+5 values, group-major order."""
     n_t = offline_path_count(t)
-    if n_t > ec.path_length:
-        raise ValueError(f"epoch {t} needs {n_t} samples but paths have {ec.path_length}")
-    return n_t
-
-
-def build_offline_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
-    """All paths truncated to their first 3t+5 values, group-major order."""
-    n_t = _check_epoch(ec, t)
-    pool = simulate_pool(ec, seed, ec.paths_per_group)
     paths = [p.prefix(n_t) for group in pool for p in group]
-    labels = np.repeat(np.arange(ec.kappa), ec.paths_per_group)
-    return paths, GroundTruth(kappa=ec.kappa, labels=labels)
+    labels = np.repeat(np.arange(len(pool)), len(pool[0]))
+    return paths, GroundTruth(kappa=len(pool), labels=labels)
 
 
 def online_group_size(t: int) -> int:
@@ -201,41 +181,45 @@ def online_path_length(t: int, l: int) -> int:
     return 3 * max(t - delay, 0) + 5
 
 
-def build_online_dataset(ec: ExperimentConfig, t: int, seed: int = 0):
-    """The paths visible at epoch t, groups interleaved in fixed arrival order."""
-    if t < 1:
-        raise ValueError("epoch must be >= 1")
-    _check_epoch(ec, t)
-    per_group = online_group_size(max(ec.epochs))
-    pool = simulate_pool(ec, seed, per_group)
-    visible = online_group_size(t)
+def build_online_dataset(pool: list, t: int):
+    """The pool's paths visible at epoch t, groups interleaved in fixed arrival order."""
     paths = []
     labels = []
-    for l in range(1, visible + 1):
+    for l in range(1, online_group_size(t) + 1):
         n_l = online_path_length(t, l)
-        for gi in range(ec.kappa):
-            paths.append(pool[gi][l - 1].prefix(n_l))
+        for gi, group in enumerate(pool):
+            paths.append(group[l - 1].prefix(n_l))
             labels.append(gi)
-    return tuple(paths), GroundTruth(kappa=ec.kappa, labels=np.array(labels))
+    return tuple(paths), GroundTruth(kappa=len(pool), labels=np.array(labels))
 
 
 def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
-    `ec` has checked its own fields; only an epoch t whose 3t+5 values, the
-    longest path of the epoch in either mode, exceed `ec.path_length` raises,
-    as a `ValueError`. Each epoch pins the windows `ec.dissim.windows(n_min)`
-    resolves on its shortest path's length, so one K and L serve every pair
-    of the epoch; with the default configuration that is K = floor(sqrt(n_min))
-    and every window.
+    `ec` has checked its own fields; an epoch t whose 3t+5 values, the
+    longest path of the epoch in either mode, exceed `ec.path_length` raises
+    a `ValueError` before any path is sampled. Each seed draws one pool,
+    `ec.paths_per_group` paths per group offline and online_group_size of
+    the last epoch online, and every epoch is cut from it. Each epoch pins
+    the windows `DissimConfig().windows(n_min)` resolves on its shortest
+    path's length, K = floor(sqrt(n_min)) and every window, so one K and L
+    serve every pair of the epoch; `ec.log_star` sets use_log_star.
     """
-    build = build_offline_dataset if ec.mode == "offline" else build_online_dataset
+    for t in ec.epochs:
+        n_t = offline_path_count(t)
+        if n_t > ec.path_length:
+            raise ValueError(f"epoch {t} needs {n_t} samples but paths have {ec.path_length}")
+    if ec.mode == "offline":
+        build, per_group = build_offline_dataset, ec.paths_per_group
+    else:
+        build, per_group = build_online_dataset, online_group_size(max(ec.epochs))
     rows = []
     for seed in ec.seeds:
+        pool = simulate_pool(ec, seed, per_group)
         for t in ec.epochs:
-            paths, truth = build(ec, t, seed)
-            K, L = ec.dissim.windows(min(len(p) for p in paths))
-            cfg = replace(ec.dissim, K=K, L=L)
+            paths, truth = build(pool, t)
+            K, L = DissimConfig().windows(min(len(p) for p in paths))
+            cfg = DissimConfig(K=K, L=L, use_log_star=ec.log_star)
             if ec.mode == "offline":
                 D = dissimilarity_matrix(paths, cfg, counter=counter)
                 clustering = offline_cluster(D, ec.kappa)

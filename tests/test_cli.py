@@ -418,6 +418,29 @@ def test_cluster_kappa_exceeds_n(tmp_path, capsys):
     assert "infeasible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--kappa", "--K", "--L"])
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_cluster_flags_below_one_are_config_errors(tmp_path, capsys, flag, value):
+    # rejected before the input is read: the file does not exist
+    argv = ["cluster", "--input", tmp_path / "missing.csv", "--output", tmp_path / "x.csv",
+            "--kappa", "2", flag, value]
+    assert run(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {flag} must be at least 1, got {value}"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_cluster_window_longer_than_paths_names_the_length(tmp_path, capsys):
+    f = tmp_path / "short.csv"
+    rng = np.random.default_rng(5)
+    write_series([SamplePath(f"p{i}", rng.standard_normal(40)) for i in range(3)], f)
+    code = run(["cluster", "--input", f, "--output", tmp_path / "x.csv", "--kappa", "2",
+                "--K", "50"])
+    assert code == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible: window length K=50 infeasible for paths of length 40"]
+
+
 def test_cluster_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("series_id,t_index,value\na,0,huh\n")

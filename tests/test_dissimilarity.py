@@ -98,18 +98,34 @@ def test_log_star_variance_planes_take_plain_log_bitwise():
     for n_w, L, s in ((12, 20, None), (40, 20, scales), (30, 1, None)):
         m_n = default_mn(n_w)
         got = _features(x, n_w, L, DissimConfig(use_log_star=True), s)
-        if s is None:
-            raw = _lag_means(x, n_w, L, m_n)
-        else:  # each window's own rows, divided by its own squared scale; row i of window s at i*L + s
-            windows = np.lib.stride_tricks.sliding_window_view(x[:, : n_w + L - 1], n_w, axis=-1)
-            raw = [np.swapaxes(a / (s * s)[..., None, None], 1, 2).reshape(4, -1, n_w - c)
-                   for c, a in enumerate(_lag_means(windows, n_w, 1, m_n))]
+        raw = _lag_means(x, n_w, L, m_n)
+        if s is not None:  # shared row i + s, divided by window s's squared scale, at i*L + s
+            raw = [np.concatenate([a[:, i : i + L] for i in range(m_n - c)], axis=1)
+                   / np.tile(s * s, m_n - c)[..., None] for c, a in enumerate(raw)]
         assert len(got) == len(raw) == m_n
         for c, (f, r) in enumerate(zip(got, raw)):
             assert np.any(r < 0) == (c > 0)
             expected = log_star(r) if c == 0 else log_star(r) * math.sqrt(2.0)
             assert f.tobytes() == expected.tobytes()
         assert np.all(got[0][1] == 0.0) and not np.any(np.signbit(got[0][1]))
+
+
+def test_shared_rows_serve_window_local_lag_means_bitwise():
+    # d_tilde_star gathers row i + s of the shared lag arrays as row i of window s;
+    # lag means built from window s alone equal it on every entry _mean_d_hat reads
+    # (row i, column k >= m_n - 1 - c - i), and differ only where they sum padding zeros
+    rng = np.random.default_rng(33)
+    for n_w, L in ((2, 1), (3, 4), (8, 1), (12, 7), (21, 5), (60, 9), (150, 3)):
+        x = rng.standard_normal((2, n_w + L - 1)) * np.array([[1.0], [1e5]])
+        m_n = default_mn(n_w)
+        shared = _lag_means(x, n_w, L, m_n)
+        for s in range(L):
+            local = _lag_means(x[:, s : s + n_w], n_w, 1, m_n)
+            for c, (a, b) in enumerate(zip(shared, local)):
+                rows = a[:, s : s + m_n - c]
+                assert rows.shape == b.shape
+                read = np.add.outer(np.arange(m_n - c), np.arange(n_w - c)) >= m_n - 1 - c
+                assert rows[:, read].tobytes() == b[:, read].tobytes()
 
 
 def test_dissimilarity_matrix_abs_is_root_of_square_bitwise():
@@ -328,6 +344,34 @@ def test_d_star_hat_infeasible_window():
         d_star_hat(z, z, DissimConfig(K=2, L=4))
 
 
+@pytest.mark.parametrize("cfg", [DissimConfig(), DissimConfig(K=3), DissimConfig(K=2, L=4),
+                                 DissimConfig(use_log_star=True)])
+def test_d_star_hat_is_an_entry_of_the_matrix(cfg):
+    rng = np.random.default_rng(19)
+    for n1, n2 in ((14, 14), (20, 11), (11, 20)):
+        z1, z2 = SamplePath("a", rng.standard_normal(n1)), SamplePath("b", rng.standard_normal(n2))
+        c1, c2 = OpCounter(), OpCounter()
+        D = dissimilarity_matrix([z1, z2], cfg, c1)
+        assert _bytes(d_star_hat(z1, z2, cfg, c2)) == _bytes(D[0, 1])
+        assert c1.rho == c2.rho > 0
+
+
+@pytest.mark.parametrize("key", ["K", "L"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_dissim_config_rejects_windows_below_one(key, value):
+    with pytest.raises(ValueError, match=rf"^{key} must be at least 1, got {value}$"):
+        DissimConfig(**{key: value})
+
+
+def test_window_length_leaving_no_window_names_the_length():
+    for cfg, n_min in ((DissimConfig(K=50), 40), (DissimConfig(K=5, L=1), 6),
+                       (DissimConfig(), 2)):
+        K = cfg.K or 1
+        with pytest.raises(ValueError,
+                           match=rf"^window length K={K} infeasible for paths of length {n_min}$"):
+            cfg.windows(n_min)
+
+
 def test_d_tilde_star_unit_mesh_bitwise_identity():
     rng = np.random.default_rng(14)
     H = HurstFunction.constant(0.6)
@@ -414,7 +458,7 @@ def test_dissimilarity_matrix_raises_for_first_infeasible_pair():
     rng = np.random.default_rng(27)
     paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((5, 20, 4))]
     counter = OpCounter()
-    with pytest.raises(ValueError, match=r"L <= 0 for paths of length 5 with K=4$"):
+    with pytest.raises(ValueError, match=r"^window length K=4 infeasible for paths of length 5$"):
         dissimilarity_matrix(paths, DissimConfig(K=4), counter=counter)
     assert counter.rho == 0
 

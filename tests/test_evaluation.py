@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,6 @@ from covclust import (
 )
 from covclust import evaluation, online
 from covclust.evaluation import (
-    CACHE_SIZE,
     group_hurst,
     offline_path_count,
     online_group_size,
@@ -182,7 +183,7 @@ def test_online_schedule():
 
 def test_build_offline_dataset_shapes():
     ec = ExperimentConfig(paths_per_group=2)
-    paths, truth = build_offline_dataset(ec, 5, seed=0)
+    paths, truth = build_offline_dataset(evaluation.simulate_pool(ec, 0, 2), 5)
     assert len(paths) == 10
     assert all(len(p) == 20 for p in paths)
     assert truth.kappa == 5
@@ -190,40 +191,35 @@ def test_build_offline_dataset_shapes():
 
 
 def test_offline_prefix_extension():
-    ec = ExperimentConfig(paths_per_group=1)
-    early, _ = build_offline_dataset(ec, 5, seed=3)
-    late, _ = build_offline_dataset(ec, 20, seed=3)
+    pool = evaluation.simulate_pool(ExperimentConfig(paths_per_group=1), 3, 1)
+    early, _ = build_offline_dataset(pool, 5)
+    late, _ = build_offline_dataset(pool, 20)
     for a, b in zip(early, late):
         assert np.array_equal(a.values, b.values[: len(a)])
 
 
-def test_pool_cache_is_bounded():
-    ec = ExperimentConfig(path_length=6)
-    for seed in range(20):
-        evaluation.simulate_pool(ec, seed, 1)
-    info = evaluation.simulate_pool.cache_info()
-    assert info.currsize <= info.maxsize == CACHE_SIZE
-    pool = evaluation.simulate_pool(ec, 19, 1)
-    assert evaluation.simulate_pool.cache_info().hits == info.hits + 1
-    assert evaluation.simulate_pool(ec, 19, 1) is pool
+def _online_pool(seed):
+    """The pool of the default online experiment, sized for its last epoch."""
+    ec = ExperimentConfig(mode="online")
+    return evaluation.simulate_pool(ec, seed, online_group_size(max(ec.epochs)))
 
 
 def test_build_online_dataset_schedule():
-    ec = ExperimentConfig(mode="online")
-    paths, truth = build_online_dataset(ec, 1, seed=0)
+    pool = _online_pool(0)
+    paths, truth = build_online_dataset(pool, 1)
     assert isinstance(paths, tuple)
     assert len(paths) == 30
     assert all(len(p) == 8 for p in paths)
-    paths11, truth11 = build_online_dataset(ec, 11, seed=0)
+    paths11, truth11 = build_online_dataset(pool, 11)
     assert len(paths11) == 35
     lengths = sorted({len(p) for p in paths11})
     assert lengths == [35, 38]  # 7th arrivals are 3 epochs younger
 
 
 def test_online_prefix_extension():
-    ec = ExperimentConfig(mode="online")
-    early, _ = build_online_dataset(ec, 10, seed=1)
-    late, _ = build_online_dataset(ec, 30, seed=1)
+    pool = _online_pool(1)
+    early, _ = build_online_dataset(pool, 10)
+    late, _ = build_online_dataset(pool, 30)
     for a in early:
         match = [b for b in late if b.id == a.id]
         assert len(match) == 1
@@ -231,8 +227,7 @@ def test_online_prefix_extension():
 
 
 def test_online_arrival_interleaves_groups():
-    ec = ExperimentConfig(mode="online")
-    _, truth = build_online_dataset(ec, 1, seed=0)
+    _, truth = build_online_dataset(_online_pool(0), 1)
     assert truth.labels.tolist() == list(range(5)) * 6
 
 
@@ -322,9 +317,8 @@ def test_run_experiment_bad_mode():
     ("log_star", "false"), ("log_star", 1),
 ])
 def test_experiment_config_rejects_bad_values(key, value):
-    kwargs = {"dissim": DissimConfig(use_log_star=value)} if key == "log_star" else {key: value}
     with pytest.raises(ValueError, match=rf"^{key} must be .+, got {re.escape(repr(value))}$"):
-        ExperimentConfig(**kwargs)
+        ExperimentConfig(**{key: value})
 
 
 def test_experiment_config_reports_the_first_bad_field():
@@ -375,9 +369,36 @@ def test_run_experiment_resolves_localized_windows(monkeypatch):
     assert [(c.K, c.L) for c in seen] == [(5, 29)]  # shortest path n_min=35
     assert seen[0].use_log_star
 
+    seen.clear()
+    run_experiment(ExperimentConfig(paths_per_group=2, epochs=(5,), log_star=False))
+    assert seen == [DissimConfig(K=4, L=15)]
 
-def test_run_experiment_keeps_explicit_windows(monkeypatch):
-    seen = _spy_configs(monkeypatch)
-    cfg = DissimConfig(K=3, L=2)
-    run_experiment(ExperimentConfig(paths_per_group=2, epochs=(5,), dissim=cfg))
-    assert seen == [cfg]
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_run_experiment_keeps_no_pool(monkeypatch, mode):
+    # every sampled path is freed once the rows are dropped: no cache holds a pool
+    sampled = []
+    real = evaluation.simulate_pool
+
+    def spy(ec, seed, per_group):
+        pool = real(ec, seed, per_group)
+        sampled.extend(weakref.ref(p) for group in pool for p in group)
+        return pool
+
+    monkeypatch.setattr(evaluation, "simulate_pool", spy)
+    rows = run_experiment(ExperimentConfig(mode=mode, paths_per_group=2, seeds=(0, 1),
+                                           epochs=(2, 5)))
+    assert len(rows) == 4 and len(sampled) == (20 if mode == "offline" else 60)
+    del rows
+    gc.collect()
+    assert all(ref() is None for ref in sampled)
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_run_experiment_checks_every_epoch_before_sampling(monkeypatch, mode):
+    def no_pool(ec, seed, per_group):
+        raise AssertionError("a pool was sampled")
+
+    monkeypatch.setattr(evaluation, "simulate_pool", no_pool)
+    with pytest.raises(ValueError, match=r"^epoch 150 needs 455 samples but paths have 305$"):
+        run_experiment(ExperimentConfig(mode=mode, epochs=(5, 150)))
