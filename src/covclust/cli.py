@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation
-from .dissimilarity import DissimConfig, dissimilarity_matrix
+from .dissimilarity import DissimConfig, InfeasibleError, dissimilarity_matrix
 from .hurst import HurstDomainError, HurstFunction
 from .offline import offline_cluster
 from .online import online_cluster
@@ -113,12 +113,8 @@ def cmd_cluster(args) -> int:
     if args.kappa > len(paths):
         raise CliError("infeasible", f"kappa={args.kappa} exceeds {len(paths)} series",
                        _EXIT_INFEASIBLE)
-    cfg = DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star)
-    if args.mode == "offline":
-        D = dissimilarity_matrix(paths, cfg)
-        clustering = offline_cluster(D, args.kappa)
-    else:
-        clustering = online_cluster(paths, args.kappa, cfg)
+    D = dissimilarity_matrix(paths, DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star))
+    clustering = (offline_cluster if args.mode == "offline" else online_cluster)(D, args.kappa)
     centers = set(c for c in clustering.centers if c is not None)
     rows = [
         [p.id, int(clustering.labels[i]) + 1, int(i in centers)]
@@ -236,10 +232,10 @@ def main(argv=None) -> int:
         print(f"error: schema: {exc}", file=sys.stderr)
         return _EXIT_SCHEMA
     except FactorizationError as exc:
-        # Before ValueError: a LinAlgError is one.
         print(f"error: numeric: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
-    except (HurstDomainError, ValueError) as exc:
+    except (HurstDomainError, InfeasibleError) as exc:
+        # Any other ValueError is a fault of the program, not of the request.
         print(f"error: infeasible: {exc}", file=sys.stderr)
         return _EXIT_INFEASIBLE
     except OSError as exc:

@@ -57,6 +57,14 @@ _TILE_BYTES = 512 * 1024
 _SQRT2 = math.sqrt(2.0)
 
 
+class InfeasibleError(ValueError):
+    """A request that the data cannot meet.
+
+    Windows that do not fit the paths, fewer than 2 paths, finite values whose
+    squared increments overflow, or an experiment epoch longer than its paths.
+    """
+
+
 def default_weights(j):
     """Summable positive weights 1 / (j^2 (j+1)^2)."""
     j = np.asarray(j, dtype=float)
@@ -95,10 +103,10 @@ class DissimConfig:
         k = math.isqrt(n_min) if self.K is None else self.K
         n_windows = n_min - k - 1
         if n_windows < 1:
-            raise ValueError(f"window length K={k} infeasible for paths of length {n_min}")
+            raise InfeasibleError(f"window length K={k} infeasible for paths of length {n_min}")
         count = n_windows if self.L is None else self.L
         if count > n_windows:
-            raise ValueError(
+            raise InfeasibleError(
                 f"window count L={count} infeasible: need 1 <= L <= {n_windows} "
                 f"for paths of length {n_min} with K={k}"
             )
@@ -332,6 +340,7 @@ def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFun
     return _pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
 
 
+@np.errstate(all="ignore")
 def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                          counter: OpCounter | None = None) -> np.ndarray:
     """Symmetric matrix of pairwise d_star_hat values with a zero diagonal.
@@ -339,10 +348,14 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
     Paths are swept shortest first; a run of equal layouts (K, L) builds its
     features and those of every longer path in one call, and reduces each path
     against contiguous tiles of at most _TILE_BYTES of the longer paths' features.
+    Fewer than 2 paths, windows that do not fit a pair, and finite values whose
+    squared increments overflow raise `InfeasibleError`. numpy's floating-point
+    warnings are silenced here: a feature that overflows reaches D as inf or nan,
+    and D's one finiteness check reports it.
     """
     n_paths = len(paths)
     if n_paths < 2:
-        raise ValueError("need at least 2 paths")
+        raise InfeasibleError("need at least 2 paths")
     lengths = np.array([len(p) for p in paths])
     n_min = np.minimum.outer(lengths, lengths)
     sizes, first = np.unique(n_min[np.triu_indices(n_paths, 1)], return_index=True)
@@ -367,4 +380,7 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                 cols = rest[s : s + tile]
                 out[rest[i], cols] = out[cols, rest[i]] = _mean_d_hat(
                     row, [f[s : s + tile] for f in features], weights, L)
+    if not np.isfinite(out).all():
+        raise InfeasibleError(
+            "dissimilarity matrix contains non-finite entries: the squared increments overflow")
     return out

@@ -16,10 +16,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dissimilarity import DissimConfig, OpCounter, dissimilarity_matrix
+from .dissimilarity import DissimConfig, InfeasibleError, OpCounter, dissimilarity_matrix
 from .hurst import HurstFunction
 from .offline import Clustering, offline_cluster
 from .online import online_cluster
@@ -193,40 +194,51 @@ def build_online_dataset(pool: list, t: int):
     return tuple(paths), GroundTruth(kappa=len(pool), labels=np.array(labels))
 
 
-def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
-    """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
+# One clustered epoch of one seed: its pinned windows, D, the clustering and the truth.
+Epoch = NamedTuple("Epoch", [("t", int), ("cfg", DissimConfig), ("D", np.ndarray),
+                             ("clustering", Clustering), ("truth", GroundTruth)])
 
-    `ec` has checked its own fields; an epoch t whose 3t+5 values, the
-    longest path of the epoch in either mode, exceed `ec.path_length` raises
-    a `ValueError` before any path is sampled. Each seed draws one pool,
-    `ec.paths_per_group` paths per group offline and online_group_size of
-    the last epoch online, and every epoch is cut from it. Each epoch pins
-    the windows `DissimConfig().windows(n_min)` resolves on its shortest
-    path's length, K = floor(sqrt(n_min)) and every window, so one K and L
-    serve every pair of the epoch; `ec.log_star` sets use_log_star.
+
+def experiment_epochs(ec: ExperimentConfig, seed: int, counter: OpCounter | None = None):
+    """Cluster every epoch of one seed, in order, yielding one `Epoch` each.
+
+    An epoch t whose 3t+5 values, the longest path of the epoch in either
+    mode, exceed `ec.path_length` raises `InfeasibleError` before any path is
+    sampled. The seed draws one pool, `ec.paths_per_group` paths per group
+    offline and online_group_size of the last epoch online, and every epoch
+    is cut from it. Each epoch pins the windows `DissimConfig().windows(n_min)`
+    resolves on its shortest path's length, K = floor(sqrt(n_min)) and every
+    window, so one K and L serve every pair of the epoch; `ec.log_star` sets
+    use_log_star. D is computed once per epoch, and the mode's step,
+    `offline_cluster` or `online_cluster`, clusters it.
     """
     for t in ec.epochs:
         n_t = offline_path_count(t)
         if n_t > ec.path_length:
-            raise ValueError(f"epoch {t} needs {n_t} samples but paths have {ec.path_length}")
+            raise InfeasibleError(f"epoch {t} needs {n_t} samples but paths have {ec.path_length}")
     if ec.mode == "offline":
-        build, per_group = build_offline_dataset, ec.paths_per_group
+        build, per_group, step = build_offline_dataset, ec.paths_per_group, offline_cluster
     else:
         build, per_group = build_online_dataset, online_group_size(max(ec.epochs))
-    rows = []
-    for seed in ec.seeds:
-        pool = simulate_pool(ec, seed, per_group)
-        for t in ec.epochs:
-            paths, truth = build(pool, t)
-            K, L = DissimConfig().windows(min(len(p) for p in paths))
-            cfg = DissimConfig(K=K, L=L, use_log_star=ec.log_star)
-            if ec.mode == "offline":
-                D = dissimilarity_matrix(paths, cfg, counter=counter)
-                clustering = offline_cluster(D, ec.kappa)
-            else:
-                clustering = online_cluster(paths, ec.kappa, cfg, counter=counter)
-            rows.append((seed, t, misclassification_rate(clustering, truth)))
-    return rows
+        step = online_cluster
+    pool = simulate_pool(ec, seed, per_group)
+    for t in ec.epochs:
+        paths, truth = build(pool, t)
+        K, L = DissimConfig().windows(min(len(p) for p in paths))
+        cfg = DissimConfig(K=K, L=L, use_log_star=ec.log_star)
+        D = dissimilarity_matrix(paths, cfg, counter=counter)
+        yield Epoch(t, cfg, D, step(D, ec.kappa), truth)
+
+
+def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
+    """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
+
+    The rows reduce the records of `experiment_epochs`, seed by seed, so an
+    infeasible epoch raises before any path is sampled and no pool outlives
+    its seed.
+    """
+    return [(seed, e.t, misclassification_rate(e.clustering, e.truth))
+            for seed in ec.seeds for e in experiment_epochs(ec, seed, counter)]
 
 
 def aggregate_rates(rows) -> list:

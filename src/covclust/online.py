@@ -5,33 +5,30 @@ call per prefix; there each point takes the label of its nearest
 already-labelled point, ties going to the lowest label. Each prefix contributes
 kappa candidate centers (minimal cluster indexes, sorted), weighted by its
 minimal inter-candidate separation. Every path is then assigned by the weighted
-nearest-candidate rule. All prefix runs share one dissimilarity matrix,
-computed serially once per epoch.
+nearest-candidate rule. Like offline_cluster, it reads only the epoch's
+dissimilarity matrix, which its caller computes once: every prefix run takes
+a leading square of it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dissimilarity import DissimConfig, OpCounter, default_weights, dissimilarity_matrix
-from .offline import Clustering, offline_cluster
+from .dissimilarity import default_weights
+from .offline import Clustering, _validate_matrix, offline_cluster
 
 
-def online_cluster(paths, kappa: int, cfg: DissimConfig = DissimConfig(),
-                   counter: OpCounter | None = None,
-                   D: np.ndarray | None = None) -> Clustering:
-    """Cluster the sample paths visible at one epoch, in arrival order, into kappa groups.
+def online_cluster(D, kappa: int) -> Clustering:
+    """Cluster the paths visible at one epoch, in arrival order, into kappa groups.
 
-    There is one `offline_cluster` run per prefix, each on the leading
-    square of D. A precomputed dissimilarity matrix over the paths may be
-    passed in; otherwise one is computed here, serially, and shared by all
-    prefix runs.
+    D is their dissimilarity matrix, checked as `offline_cluster` checks it;
+    its size gives the number of paths. There is one `offline_cluster` run
+    per prefix, each on the leading square of D.
     """
-    n = len(paths)
+    D = _validate_matrix(D)
+    n = D.shape[0]
     if n < kappa:
         raise ValueError(f"{n} paths are fewer than kappa={kappa}")
-    if D is None:
-        D = dissimilarity_matrix(paths, cfg, counter=counter)
 
     iu, ju = np.triu_indices(kappa, 1)
     label_ids = np.arange(kappa)[:, None]

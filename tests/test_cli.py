@@ -441,6 +441,42 @@ def test_cluster_window_longer_than_paths_names_the_length(tmp_path, capsys):
         "error: infeasible: window length K=50 infeasible for paths of length 40"]
 
 
+@pytest.mark.parametrize("mode", ["offline", "online"])
+@pytest.mark.filterwarnings("error")
+def test_cluster_overflowing_values_are_one_infeasible_line(tmp_path, capsys, mode):
+    # finite values near 1e200 whose squared increments overflow: no numpy
+    # warning, one stderr line naming the cause, and no label file
+    rng = np.random.default_rng(6)
+    f = tmp_path / "huge.csv"
+    write_series([SamplePath(f"p{i}", 1e200 * rng.standard_normal(30)) for i in range(4)], f)
+    out = tmp_path / "x.csv"
+    assert run(["cluster", "--input", f, "--output", out, "--kappa", "2", "--mode", mode]) == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible: dissimilarity matrix contains non-finite entries: "
+        "the squared increments overflow"]
+    assert not out.exists()
+
+
+def test_cluster_single_series_is_infeasible(tmp_path, capsys):
+    f = tmp_path / "one.csv"
+    write_series([SamplePath("p", np.arange(10.0))], f)
+    assert run(["cluster", "--input", f, "--output", tmp_path / "x.csv", "--kappa", "1"]) == 5
+    assert capsys.readouterr().err.splitlines() == ["error: infeasible: need at least 2 paths"]
+
+
+def test_cluster_internal_value_error_is_not_infeasible(tmp_path, capsys, monkeypatch):
+    # only InfeasibleError, HurstDomainError and FactorizationError exit 5;
+    # any other ValueError is a fault of the program and is raised as it is
+    def broken(D, kappa):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(cli, "offline_cluster", broken)
+    f = _write_two_group_fixture(tmp_path)
+    with pytest.raises(ValueError, match="^internal fault$"):
+        run(["cluster", "--input", f, "--output", tmp_path / "x.csv", "--kappa", "2"])
+    assert "infeasible" not in capsys.readouterr().err
+
+
 def test_cluster_schema_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("series_id,t_index,value\na,0,huh\n")

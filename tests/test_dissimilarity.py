@@ -21,7 +21,7 @@ from covclust import (
     sample_path,
 )
 from covclust import dissimilarity
-from covclust.dissimilarity import _features, _lag_means, _window_scales
+from covclust.dissimilarity import InfeasibleError, _features, _lag_means, _window_scales
 
 from naive_oracles import (
     fullstorage_dissimilarity_matrix,
@@ -370,6 +370,25 @@ def test_window_length_leaving_no_window_names_the_length():
         with pytest.raises(ValueError,
                            match=rf"^window length K={K} infeasible for paths of length {n_min}$"):
             cfg.windows(n_min)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("use_log_star", [False, True])
+def test_infeasible_requests_raise_the_typed_error(use_log_star):
+    # windows that do not fit, fewer than 2 paths and finite values whose
+    # squared increments overflow are faults of the data, and none of them warns
+    cfg = DissimConfig(use_log_star=use_log_star)
+    rng = np.random.default_rng(33)
+    huge = [SamplePath(f"p{i}", 1e200 * rng.standard_normal(12)) for i in range(3)]
+    for call, message in (
+        (lambda: DissimConfig(K=50).windows(40), "^window length K=50 infeasible"),
+        (lambda: DissimConfig(K=2, L=40).windows(40), "^window count L=40 infeasible"),
+        (lambda: dissimilarity_matrix(huge[:1], cfg), "^need at least 2 paths$"),
+        (lambda: dissimilarity_matrix(huge, cfg),
+         "^dissimilarity matrix contains non-finite entries: the squared increments overflow$"),
+    ):
+        with pytest.raises(InfeasibleError, match=message):
+            call()
 
 
 def test_d_tilde_star_unit_mesh_bitwise_identity():

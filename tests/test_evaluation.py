@@ -24,10 +24,11 @@ from covclust import (
     dissimilarity_matrix,
     misclassification_rate,
     offline_cluster,
+    online_cluster,
     run_experiment,
     sample_path,
 )
-from covclust import evaluation, online
+from covclust import evaluation
 from covclust.evaluation import (
     group_hurst,
     offline_path_count,
@@ -356,7 +357,6 @@ def _spy_configs(monkeypatch):
         return real(paths, cfg, **kwargs)
 
     monkeypatch.setattr(evaluation, "dissimilarity_matrix", spy)
-    monkeypatch.setattr(online, "dissimilarity_matrix", spy)
     return seen
 
 
@@ -372,6 +372,31 @@ def test_run_experiment_resolves_localized_windows(monkeypatch):
     seen.clear()
     run_experiment(ExperimentConfig(paths_per_group=2, epochs=(5,), log_star=False))
     assert seen == [DissimConfig(K=4, L=15)]
+
+
+@pytest.mark.parametrize("mode", ["offline", "online"])
+def test_experiment_epochs_yield_each_epochs_matrix_and_clustering(mode):
+    # each record's D is the epoch's matrix under its pinned windows, and its
+    # clustering is the mode's step applied to that D
+    ec = ExperimentConfig(mode=mode, paths_per_group=2, seeds=(3,), epochs=(5, 20))
+    if mode == "offline":
+        build, per_group, step = build_offline_dataset, 2, offline_cluster
+    else:
+        build, per_group, step = build_online_dataset, online_group_size(20), online_cluster
+    pool = evaluation.simulate_pool(ec, 3, per_group)
+    records = list(evaluation.experiment_epochs(ec, 3))
+    assert [e.t for e in records] == [5, 20]
+    for e in records:
+        paths, truth = build(pool, e.t)
+        K, L = DissimConfig().windows(min(len(p) for p in paths))
+        assert e.cfg == DissimConfig(K=K, L=L, use_log_star=True)
+        assert e.D.tobytes() == dissimilarity_matrix(paths, e.cfg).tobytes()
+        want = step(e.D, ec.kappa)
+        assert e.clustering.labels.tobytes() == want.labels.tobytes()
+        assert e.clustering.centers == want.centers
+        assert e.truth.labels.tobytes() == truth.labels.tobytes()
+    assert run_experiment(ec) == [
+        (3, e.t, misclassification_rate(e.clustering, e.truth)) for e in records]
 
 
 @pytest.mark.parametrize("mode", ["offline", "online"])

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from covclust import (
-    DissimConfig,
     SamplePath,
+    dissimilarity_matrix,
     offline_cluster,
     online_cluster,
 )
@@ -33,25 +33,27 @@ def partition(c):
 
 
 def test_single_prefix_collapses_to_offline():
-    paths = make_paths(0, 4)
+    D = dissimilarity_matrix(make_paths(0, 4))
     kappa = 4
-    c_on = online_cluster(paths, kappa)
-    from covclust import dissimilarity_matrix
-
-    c_off = offline_cluster(dissimilarity_matrix(paths), kappa)
-    assert partition(c_on) == partition(c_off)
+    assert partition(online_cluster(D, kappa)) == partition(offline_cluster(D, kappa))
 
 
 def test_too_few_paths():
-    paths = make_paths(1, 3)
-    with pytest.raises(ValueError):
-        online_cluster(paths, 4)
+    with pytest.raises(ValueError, match="^3 paths are fewer than kappa=4$"):
+        online_cluster(np.zeros((3, 3)), 4)
+
+
+def test_size_comes_from_a_square_matrix():
+    # D alone gives the number of paths: one label per row, and no other shape
+    assert online_cluster(np.zeros((6, 6)), 2).labels.size == 6
+    with pytest.raises(ValueError, match="must be square"):
+        online_cluster(np.zeros((3, 6)), 2)
 
 
 def test_deterministic():
-    paths = make_paths(2, 6)
-    a = online_cluster(paths, 2)
-    b = online_cluster(paths, 2)
+    D = dissimilarity_matrix(make_paths(2, 6))
+    a = online_cluster(D, 2)
+    b = online_cluster(D, 2)
     assert np.array_equal(a.labels, b.labels)
     assert a.centers == b.centers
 
@@ -62,8 +64,7 @@ def test_planted_separation_recovery(seed):
     rng = np.random.default_rng(seed)
     labels = np.array([0, 1, 0, 1, 0, 1])
     D = planted_matrix(rng, labels, intra_max=0.5, inter_min=1.0)
-    paths = make_paths(seed, 6)
-    c = online_cluster(paths, 2, D=D)
+    c = online_cluster(D, 2)
     assert partition(c) == frozenset(
         {frozenset({0, 2, 4}), frozenset({1, 3, 5})}
     )
@@ -71,10 +72,7 @@ def test_planted_separation_recovery(seed):
 
 def test_eta_zero_fallback():
     # all paths identical: every gamma is 0, eta = 0
-    path = SamplePath("p", np.arange(10.0))
-    paths = (path, path, path)
-    D = np.zeros((3, 3))
-    c = online_cluster(paths, 2, D=D)
+    c = online_cluster(np.zeros((3, 3)), 2)
     assert c.labels.size == 3
     assert len(set(c.labels.tolist())) <= 2
 
@@ -91,22 +89,12 @@ def test_candidate_stability_on_separated_data():
     assert all(c == (0, 1) for c in cands)
 
 
-def test_precomputed_matrix_matches_internal():
-    paths = make_paths(4, 5)
-    from covclust import dissimilarity_matrix
-
-    D = dissimilarity_matrix(paths, DissimConfig())
-    a = online_cluster(paths, 2)
-    b = online_cluster(paths, 2, D=D)
-    assert np.array_equal(a.labels, b.labels)
-
-
 def test_ragged_snapshot():
     rng = np.random.default_rng(5)
     paths = tuple(
         SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((8, 12, 20, 9))
     )
-    c = online_cluster(paths, 2)
+    c = online_cluster(dissimilarity_matrix(paths), 2)
     assert c.labels.size == 4
 
 
@@ -115,7 +103,7 @@ def test_ragged_snapshot():
 @example((np.zeros((6, 6)), 3))
 def test_vote_matches_prefixwise_oracle(case):
     D, kappa = case
-    got = online_cluster(make_paths(0, len(D)), kappa, D=D)
+    got = online_cluster(D, kappa)
     want = prefixwise_online_cluster(D, kappa)
     assert np.array_equal(got.labels, want.labels)
     assert got.centers == want.centers
