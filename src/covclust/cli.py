@@ -2,7 +2,11 @@
 
 Every command is deterministic given its flags, input files, and seed.
 Failures exit nonzero with a single machine-parsable line on stderr of the
-form `error: <category>: <message>`.
+form `error: <category>: <message>`. `_CATEGORIES` names the category of
+each error type that is reported this way (a `CliError` carries its own),
+and `_EXIT_CODES` the exit code of each category; argparse exits 2 on bad
+usage itself. Any other exception is a fault of the program and is not
+caught.
 """
 
 from __future__ import annotations
@@ -28,11 +32,11 @@ from .seriesio import SchemaError, read_series, write_series
 
 OUTPUT_DIR_ENV = "COVCLUST_OUTPUT_DIR"
 
-_EXIT_USAGE = 2
-_EXIT_SCHEMA = 3
-_EXIT_CONFIG = 4
-_EXIT_INFEASIBLE = 5
-_EXIT_IO = 6
+# The category of each reported error type; an error takes that of the first
+# of these types in its class's method resolution order.
+_CATEGORIES = {SchemaError: "schema", FactorizationError: "numeric",
+               HurstDomainError: "infeasible", InfeasibleError: "infeasible", OSError: "io"}
+_EXIT_CODES = {"schema": 3, "config": 4, "infeasible": 5, "numeric": 5, "io": 6}
 
 _SERIAL_HELP = "accepted for compatibility; D is computed serially"
 # The keys an `experiment --config` file may set.
@@ -40,10 +44,9 @@ _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(evaluation.ExperimentCon
 
 
 class CliError(Exception):
-    def __init__(self, category: str, message: str, code: int):
+    def __init__(self, category: str, message: str):
         super().__init__(message)
         self.category = category
-        self.code = code
 
 
 def _out_path(name: str) -> Path:
@@ -68,16 +71,15 @@ def _parse_hurst(spec: str) -> HurstFunction:
             h, q = (float(x) for x in rest.split(","))
             return HurstFunction.periodic(h, q)
     except (ValueError, HurstDomainError) as exc:
-        raise CliError("config", f"bad hurst spec {spec!r}: {exc}", _EXIT_CONFIG) from exc
-    raise CliError("config", f"unknown hurst kind {kind!r} (constant|mono|sin)", _EXIT_CONFIG)
+        raise CliError("config", f"bad hurst spec {spec!r}: {exc}") from exc
+    raise CliError("config", f"unknown hurst kind {kind!r} (constant|mono|sin)")
 
 
 def _parse_int_list(text: str, flag: str) -> tuple:
     try:
         values = tuple(int(x) for x in text.split(",") if x.strip() != "")
     except ValueError as exc:
-        raise CliError("config", f"{flag} expects comma-separated integers: {text!r}",
-                       _EXIT_CONFIG) from exc
+        raise CliError("config", f"{flag} expects comma-separated integers: {text!r}") from exc
     return values
 
 
@@ -90,12 +92,11 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def cmd_simulate(args) -> int:
     if args.paths < 1:
-        raise CliError("config", f"--paths must be at least 1, got {args.paths}", _EXIT_CONFIG)
+        raise CliError("config", f"--paths must be at least 1, got {args.paths}")
     if args.n < 2:
-        raise CliError("config", f"--n must be at least 2, got {args.n}", _EXIT_CONFIG)
+        raise CliError("config", f"--n must be at least 2, got {args.n}")
     if not 0 < args.delta_t < np.inf:
-        raise CliError("config", f"--delta-t must be positive and finite, got {args.delta_t}",
-                       _EXIT_CONFIG)
+        raise CliError("config", f"--delta-t must be positive and finite, got {args.delta_t}")
     f = _parse_hurst(args.hurst)
     paths = [
         sample_path(f, args.n, args.delta_t, seed=(args.seed, idx), id=f"path{idx}")
@@ -106,14 +107,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    for flag, value in (("--kappa", args.kappa), ("--K", args.K), ("--L", args.L)):
-        if value is not None and value < 1:
-            raise CliError("config", f"{flag} must be at least 1, got {value}", _EXIT_CONFIG)
+    if args.kappa < 1:
+        raise CliError("config", f"--kappa must be at least 1, got {args.kappa}")
+    try:
+        cfg = DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star)
+    except ValueError as exc:
+        raise CliError("config", f"--{exc}") from exc
     paths = read_series(args.input, ragged_ok=(args.mode == "online"))
     if args.kappa > len(paths):
-        raise CliError("infeasible", f"kappa={args.kappa} exceeds {len(paths)} series",
-                       _EXIT_INFEASIBLE)
-    D = dissimilarity_matrix(paths, DissimConfig(K=args.K, L=args.L, use_log_star=args.log_star))
+        raise CliError("infeasible", f"kappa={args.kappa} exceeds {len(paths)} series")
+    D = dissimilarity_matrix(paths, cfg)
     clustering = (offline_cluster if args.mode == "offline" else online_cluster)(D, args.kappa)
     centers = set(c for c in clustering.centers if c is not None)
     rows = [
@@ -131,13 +134,12 @@ def cmd_experiment(args) -> int:
             with open(args.config) as fh:
                 defaults = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
-            raise CliError("config", f"cannot read config {args.config}: {exc}",
-                           _EXIT_CONFIG) from exc
+            raise CliError("config", f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(defaults, dict):
-            raise CliError("config", "config file must be a flat JSON object", _EXIT_CONFIG)
+            raise CliError("config", "config file must be a flat JSON object")
         unknown = [key for key in defaults if key not in _CONFIG_KEYS]
         if unknown:
-            raise CliError("config", f"unknown key {unknown[0]!r}", _EXIT_CONFIG)
+            raise CliError("config", f"unknown key {unknown[0]!r}")
 
     flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
     flags["seeds"] = None if args.seeds is None else _parse_int_list(args.seeds, "--seeds")
@@ -146,7 +148,7 @@ def cmd_experiment(args) -> int:
     try:
         ec = evaluation.ExperimentConfig(**values)
     except ValueError as exc:
-        raise CliError("config", str(exc), _EXIT_CONFIG) from exc
+        raise CliError("config", str(exc)) from exc
     rows = evaluation.run_experiment(ec)
     rate_rows = [[seed, t, format(rate, ".17g")] for seed, t, rate in rows]
     _write_csv(_out_path(args.output), ["seed", "t", "rate"], rate_rows)
@@ -225,22 +227,12 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc.category}: {exc}", file=sys.stderr)
-        return exc.code
-    except SchemaError as exc:
-        print(f"error: schema: {exc}", file=sys.stderr)
-        return _EXIT_SCHEMA
-    except FactorizationError as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    except (HurstDomainError, InfeasibleError) as exc:
+    except (CliError, *_CATEGORIES) as exc:
         # Any other ValueError is a fault of the program, not of the request.
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return _EXIT_INFEASIBLE
-    except OSError as exc:
-        print(f"error: io: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        category = exc.category if isinstance(exc, CliError) else next(
+            _CATEGORIES[t] for t in type(exc).__mro__ if t in _CATEGORIES)
+        print(f"error: {category}: {exc}", file=sys.stderr)
+        return _EXIT_CODES[category]
 
 
 if __name__ == "__main__":

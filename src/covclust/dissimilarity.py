@@ -276,12 +276,21 @@ def _mean_d_hat(f1: list, f2: list, weights: list, L: int) -> np.ndarray:
     return np.sum(total, axis=-1) / L
 
 
+def _finite(values: np.ndarray) -> np.ndarray:
+    """values, once every entry is checked to be finite; an overflow shows as inf or nan."""
+    if not np.isfinite(values).all():
+        raise InfeasibleError(
+            "dissimilarity matrix contains non-finite entries: the squared increments overflow")
+    return values
+
+
+@np.errstate(all="ignore")
 def _pair(x1: np.ndarray, x2: np.ndarray, n_w: int, L: int, cfg: DissimConfig,
           scales=None) -> float:
     """Mean of d_hat over the L windows of n_w increments that x1 and x2 start."""
     x = np.stack([x1[: n_w + L - 1], x2[: n_w + L - 1]])
     f = _features(x, n_w, L, cfg, None if scales is None else np.stack(scales))
-    return float(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w), L)[0])
+    return float(_finite(_mean_d_hat([a[0] for a in f], [a[1:] for a in f], _weights(n_w), L))[0])
 
 
 def d_hat_rho_count(n: int, cfg: DissimConfig) -> int:
@@ -349,18 +358,18 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
     features and those of every longer path in one call, and reduces each path
     against contiguous tiles of at most _TILE_BYTES of the longer paths' features.
     Fewer than 2 paths, windows that do not fit a pair, and finite values whose
-    squared increments overflow raise `InfeasibleError`. numpy's floating-point
-    warnings are silenced here: a feature that overflows reaches D as inf or nan,
-    and D's one finiteness check reports it.
+    squared increments overflow raise `InfeasibleError`. Windows that fit n
+    values fit every longer path, so the first pair in row-major order whose
+    windows do not fit is in row 0: row 0 alone is checked, before any work.
+    numpy's floating-point warnings are silenced here: a feature that overflows
+    reaches D as inf or nan, and D's one finiteness check reports it.
     """
     n_paths = len(paths)
     if n_paths < 2:
         raise InfeasibleError("need at least 2 paths")
+    for p in paths[1:]:  # row 0 holds the first infeasible pair, if there is one
+        cfg.windows(min(len(paths[0]), len(p)))
     lengths = np.array([len(p) for p in paths])
-    n_min = np.minimum.outer(lengths, lengths)
-    sizes, first = np.unique(n_min[np.triu_indices(n_paths, 1)], return_index=True)
-    for k in np.argsort(first):  # in pair order, so the first infeasible pair raises
-        cfg.windows(int(sizes[k]))
     order = np.argsort(lengths, kind="stable")
     out = np.zeros((n_paths, n_paths))
     r0 = 0
@@ -380,7 +389,4 @@ def dissimilarity_matrix(paths, cfg: DissimConfig = DissimConfig(),
                 cols = rest[s : s + tile]
                 out[rest[i], cols] = out[cols, rest[i]] = _mean_d_hat(
                     row, [f[s : s + tile] for f in features], weights, L)
-    if not np.isfinite(out).all():
-        raise InfeasibleError(
-            "dissimilarity matrix contains non-finite entries: the squared increments overflow")
-    return out
+    return _finite(out)

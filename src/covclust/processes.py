@@ -76,8 +76,8 @@ class SamplePath:
             raise ValueError("a sample path needs at least 2 values")
         if not np.all(np.isfinite(values)):
             raise ValueError("sample path values must be finite")
-        if self.delta_t <= 0:
-            raise ValueError("delta_t must be positive")
+        if not 0 < self.delta_t < math.inf:
+            raise ValueError(f"delta_t must be positive and finite, got {self.delta_t}")
 
     def __len__(self) -> int:
         return self.values.size
@@ -363,8 +363,8 @@ def sample_path(f: HurstFunction, n: int, delta_t: float, seed, id: str | None =
     """
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    if delta_t <= 0:
-        raise ValueError("delta_t must be positive")
+    if not 0 < delta_t < math.inf:
+        raise ValueError(f"delta_t must be positive and finite, got {delta_t}")
     factor = _mbm_factor(f, n, delta_t)
     noise = np.random.default_rng(seed).standard_normal(n)
     values = factor @ noise

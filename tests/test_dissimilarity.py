@@ -380,12 +380,16 @@ def test_infeasible_requests_raise_the_typed_error(use_log_star):
     cfg = DissimConfig(use_log_star=use_log_star)
     rng = np.random.default_rng(33)
     huge = [SamplePath(f"p{i}", 1e200 * rng.standard_normal(12)) for i in range(3)]
+    half = [SamplePath(p.id, p.values, delta_t=0.5) for p in huge]
+    H = HurstFunction.constant(0.5)
+    overflow = "^dissimilarity matrix contains non-finite entries: the squared increments overflow$"
     for call, message in (
         (lambda: DissimConfig(K=50).windows(40), "^window length K=50 infeasible"),
         (lambda: DissimConfig(K=2, L=40).windows(40), "^window count L=40 infeasible"),
         (lambda: dissimilarity_matrix(huge[:1], cfg), "^need at least 2 paths$"),
-        (lambda: dissimilarity_matrix(huge, cfg),
-         "^dissimilarity matrix contains non-finite entries: the squared increments overflow$"),
+        (lambda: dissimilarity_matrix(huge, cfg), overflow),
+        (lambda: d_hat(*(IncrementPath(np.diff(p.values)) for p in half[:2]), cfg), overflow),
+        (lambda: d_tilde_star(half[0], half[1], H, H, cfg), overflow),
     ):
         with pytest.raises(InfeasibleError, match=message):
             call()
@@ -477,6 +481,12 @@ def test_dissimilarity_matrix_raises_for_first_infeasible_pair():
     rng = np.random.default_rng(27)
     paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((5, 20, 4))]
     counter = OpCounter()
+    with pytest.raises(ValueError, match=r"^window length K=4 infeasible for paths of length 5$"):
+        dissimilarity_matrix(paths, DissimConfig(K=4), counter=counter)
+    assert counter.rho == 0
+    # pairs (0, 2) and (0, 3) are both infeasible; (0, 2) comes first, so the
+    # error names its length 5, not the shortest path's 4
+    paths = [SamplePath(f"p{i}", rng.standard_normal(n)) for i, n in enumerate((20, 30, 5, 4))]
     with pytest.raises(ValueError, match=r"^window length K=4 infeasible for paths of length 5$"):
         dissimilarity_matrix(paths, DissimConfig(K=4), counter=counter)
     assert counter.rho == 0

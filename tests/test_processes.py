@@ -1,3 +1,4 @@
+import re
 import threading
 
 import numpy as np
@@ -311,6 +312,18 @@ def test_sample_path_validation():
         sample_path(f, 1, 1.0, seed=0)
     with pytest.raises(ValueError):
         sample_path(f, 5, 0.0, seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("delta_t", [0.0, -1.0, float("nan"), float("inf")])
+def test_delta_t_must_be_positive_and_finite(delta_t, monkeypatch):
+    # sample_path checks delta_t before it builds a factor, so nothing warns
+    monkeypatch.setattr(processes, "_mbm_factor", lambda *args: pytest.fail("factor built"))
+    message = "^" + re.escape(f"delta_t must be positive and finite, got {delta_t}") + "$"
+    with pytest.raises(ValueError, match=message):
+        SamplePath("a", np.arange(5.0), delta_t)
+    with pytest.raises(ValueError, match=message):
+        sample_path(HurstFunction.constant(0.5), 20, delta_t, seed=0)
 
 
 def test_sample_path_variance_monte_carlo():
