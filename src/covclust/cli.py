@@ -24,7 +24,7 @@ import numpy as np
 
 from . import evaluation
 from .dissimilarity import DissimConfig, InfeasibleError, dissimilarity_matrix
-from .hurst import HurstDomainError, HurstFunction
+from .hurst import MONOTONIC, PERIODIC, HurstDomainError, HurstFunction
 from .offline import offline_cluster
 from .online import online_cluster
 from .processes import FactorizationError, sample_path
@@ -64,13 +64,10 @@ def _parse_hurst(spec: str) -> HurstFunction:
     try:
         if kind == "constant":
             return HurstFunction.constant(float(rest))
-        if kind in ("mono", "monotonic"):
+        if kind in ("mono", "monotonic", "sin", "periodic"):
             h, q = (float(x) for x in rest.split(","))
-            return HurstFunction.monotonic(h, q)
-        if kind in ("sin", "periodic"):
-            h, q = (float(x) for x in rest.split(","))
-            return HurstFunction.periodic(h, q)
-    except (ValueError, HurstDomainError) as exc:
+            return HurstFunction(MONOTONIC if kind in ("mono", "monotonic") else PERIODIC, h, q)
+    except ValueError as exc:  # HurstDomainError included
         raise CliError("config", f"bad hurst spec {spec!r}: {exc}") from exc
     raise CliError("config", f"unknown hurst kind {kind!r} (constant|mono|sin)")
 

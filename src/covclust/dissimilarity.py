@@ -126,12 +126,21 @@ class OpCounter:
 
 @dataclass(frozen=True)
 class IncrementPath:
-    """Consecutive differences of a sample path (one shorter than its parent)."""
+    """Consecutive differences of a sample path (one shorter than its parent).
+
+    Construction rejects values that are not a nonempty 1-D array, and values
+    that are not all finite, each with a ValueError that names the cause.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        values = np.asarray(self.values, dtype=float)
+        object.__setattr__(self, "values", values)
+        if values.ndim != 1 or values.size == 0:
+            raise ValueError(f"increment path values must be 1-D and nonempty, got shape {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("increment path values must be finite")
 
     def __len__(self) -> int:
         return self.values.size
@@ -312,8 +321,6 @@ def d_hat(x1: IncrementPath, x2: IncrementPath, cfg: DissimConfig = DissimConfig
     covariance matrices, with n the shorter length.
     """
     n = min(len(x1), len(x2))
-    if n < 1:
-        raise ValueError("both increment series must be nonempty")
     if counter is not None:
         counter.rho += d_hat_rho_count(n, cfg)
     return _pair(x1.values, x2.values, n, 1, cfg)

@@ -27,28 +27,35 @@ class HurstFunction:
     half-sine arch 0.5 + h*sin(pi*t/q), the last two defined on t in [0, q].
     :meth:`values_on` is the one definition of each; calling the function
     evaluates it at a single instant.
+
+    Construction checks the fields, in this order, whichever constructor is
+    used: a kind other than the three raises ValueError; a constant level
+    outside (0, 1), and a horizon q that is not positive (nan included),
+    raise HurstDomainError.
     """
 
     kind: str
     h: float = 0.5
     q: float = 1.0
 
+    def __post_init__(self):
+        if self.kind not in (CONSTANT, MONOTONIC, PERIODIC):
+            raise ValueError(f"unknown Hurst variant {self.kind!r}")
+        if self.kind == CONSTANT and not 0.0 < self.h < 1.0:
+            raise HurstDomainError(f"constant Hurst level: value {self.h} is outside (0, 1)")
+        if not self.q > 0:
+            raise HurstDomainError(f"horizon q must be positive, got {self.q}")
+
     @classmethod
     def constant(cls, h: float) -> "HurstFunction":
-        if not (0.0 < h < 1.0):
-            raise HurstDomainError(f"constant Hurst level: value {h} is outside (0, 1)")
         return cls(kind=CONSTANT, h=float(h))
 
     @classmethod
     def monotonic(cls, h: float, q: float) -> "HurstFunction":
-        if q <= 0:
-            raise HurstDomainError(f"horizon q must be positive, got {q}")
         return cls(kind=MONOTONIC, h=float(h), q=float(q))
 
     @classmethod
     def periodic(cls, h: float, q: float) -> "HurstFunction":
-        if q <= 0:
-            raise HurstDomainError(f"horizon q must be positive, got {q}")
         return cls(kind=PERIODIC, h=float(h), q=float(q))
 
     def __call__(self, t: float) -> float:
@@ -70,10 +77,8 @@ class HurstFunction:
         with np.errstate(all="ignore"):
             if self.kind == MONOTONIC:
                 values = 0.5 + self.h * times / self.q
-            elif self.kind == PERIODIC:
-                values = 0.5 + self.h * np.sin(np.pi * times / self.q)
             else:
-                raise ValueError(f"unknown Hurst variant {self.kind!r}")
+                values = 0.5 + self.h * np.sin(np.pi * times / self.q)
             outside = ~((0.0 <= times) & (times <= self.q))
             bad = outside | ~((0.0 < values) & (values < 1.0))
         if bad.any():

@@ -58,7 +58,9 @@ def offline_cluster(D, kappa: int) -> Clustering:
     order, takes the label of its nearest already-labelled point, that is, the
     nearest center or lower-indexed point, ties going to the lowest label.
     This is the same as joining the cluster with the nearest current member
-    before later points are processed.
+    before later points are processed. The labels come from one pass over
+    each point's nearest labelled points, in row order, so each label a
+    point copies is already final.
 
     Every call validates D first, in a fixed order: square shape, finite
     entries, exact symmetry, zero diagonal. The first check that fails raises
@@ -92,15 +94,13 @@ def offline_cluster(D, kappa: int) -> Clustering:
     rest = np.flatnonzero(~is_center)
     # Row r holds the distances from rest[r] to the points labelled before it.
     near = np.where(is_center | (idx < rest[:, None]), D[rest], np.inf)
-    hit = near == near.min(axis=1, keepdims=True)
-    labels = [-1] * n
+    # Hits come row by row, so every j that row r reads is a center or a
+    # point that an earlier row labelled; kappa is above every label.
+    rows, cols = np.nonzero(near == near.min(axis=1, keepdims=True))
+    labels = [kappa] * n
     for k, c in enumerate(centers):
         labels[c] = k
-    if hit.sum() == rest.size:
-        # No ties: each point copies the label of its one nearest point.
-        for i, j in zip(rest.tolist(), np.argmax(hit, axis=1).tolist()):
+    for i, j in zip(rest[rows].tolist(), cols.tolist()):
+        if labels[j] < labels[i]:
             labels[i] = labels[j]
-    else:
-        for r, i in enumerate(rest.tolist()):
-            labels[i] = min(labels[j] for j in np.flatnonzero(hit[r]).tolist())
     return Clustering(kappa=kappa, labels=np.array(labels), centers=tuple(centers))

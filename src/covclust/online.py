@@ -22,13 +22,15 @@ def online_cluster(D, kappa: int) -> Clustering:
     """Cluster the paths visible at one epoch, in arrival order, into kappa groups.
 
     D is their dissimilarity matrix, checked as `offline_cluster` checks it;
-    its size gives the number of paths. There is one `offline_cluster` run
-    per prefix, each on the leading square of D.
+    its size gives the number of paths. kappa must lie in [1, n], checked
+    before the first prefix. There is one `offline_cluster` run per prefix,
+    each on the leading square of D.
     """
     D = _validate_matrix(D)
     n = D.shape[0]
-    if n < kappa:
-        raise ValueError(f"{n} paths are fewer than kappa={kappa}")
+    if not 1 <= kappa <= n:
+        raise ValueError(f"{n} paths are fewer than kappa={kappa}" if kappa > n
+                         else f"kappa={kappa} out of range for {n} points")
 
     iu, ju = np.triu_indices(kappa, 1)
     label_ids = np.arange(kappa)[:, None]

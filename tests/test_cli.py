@@ -313,6 +313,16 @@ def test_simulate_bad_hurst_spec(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("spec", ["mono:0.3,nan", "sin:0.3,0", "mono:0.3,-1"])
+def test_simulate_rejects_a_horizon_that_is_not_positive(tmp_path, capsys, spec):
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", spec, "--n", "10", "--output", out])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: bad hurst spec {spec!r}: horizon q")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("paths", [0, -1])
 def test_simulate_rejects_fewer_than_one_path(tmp_path, capsys, paths):
     out = tmp_path / "x.csv"

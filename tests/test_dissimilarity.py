@@ -395,6 +395,23 @@ def test_infeasible_requests_raise_the_typed_error(use_log_star):
             call()
 
 
+@pytest.mark.parametrize("values, message", [
+    ([], r"^increment path values must be 1-D and nonempty, got shape \(0,\)$"),
+    ([[1.0, 2.0], [3.0, 4.0]], r"^increment path values must be 1-D and nonempty, got shape \(2, 2\)$"),
+    ([math.nan, 1.0], "^increment path values must be finite$"),
+    ([1.0, math.inf], "^increment path values must be finite$"),
+])
+def test_increment_path_rejects_bad_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        IncrementPath(values)
+
+
+def test_d_hat_of_nan_input_fails_at_construction_not_as_overflow():
+    with pytest.raises(ValueError, match="^increment path values must be finite$") as exc:
+        d_hat(IncrementPath([math.nan, 1, 2, 3]), IncrementPath([1.0, 2, 3, 4]))
+    assert not isinstance(exc.value, InfeasibleError)
+
+
 def test_d_tilde_star_unit_mesh_bitwise_identity():
     rng = np.random.default_rng(14)
     H = HurstFunction.constant(0.6)

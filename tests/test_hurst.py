@@ -49,6 +49,23 @@ def test_constant_out_of_range_rejected():
         HurstFunction.constant(0.0)
 
 
+def test_direct_construction_checks_every_field_in_order():
+    # the kind first, then a constant level, then the horizon, however built
+    with pytest.raises(ValueError, match="^unknown Hurst variant 'ramp'$") as exc:
+        HurstFunction("ramp", 1.5, 0.0)
+    assert not isinstance(exc.value, HurstDomainError)
+    with pytest.raises(HurstDomainError, match=r"^constant Hurst level: value 1.5 is outside \(0, 1\)$"):
+        HurstFunction("constant", 1.5, 0.0)
+    with pytest.raises(HurstDomainError, match="^horizon q must be positive, got 0.0$"):
+        HurstFunction("monotonic", 0.3, 0.0)
+    with pytest.raises(HurstDomainError, match="^horizon q must be positive, got nan$"):
+        HurstFunction("periodic", 0.3, float("nan"))
+    with pytest.raises(HurstDomainError, match="^horizon q must be positive, got nan$"):
+        HurstFunction.monotonic(0.3, float("nan"))
+    with pytest.raises(ValueError, match="^unknown Hurst variant 'ramp'$"):
+        HurstFunction("ramp")
+
+
 def test_values_on_grid():
     f = HurstFunction.monotonic(0.4, 1.0)
     grid = np.array([0.0, 0.5, 1.0])

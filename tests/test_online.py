@@ -41,6 +41,10 @@ def test_single_prefix_collapses_to_offline():
 def test_too_few_paths():
     with pytest.raises(ValueError, match="^3 paths are fewer than kappa=4$"):
         online_cluster(np.zeros((3, 3)), 4)
+    # below 1, kappa is checked against D's size before any prefix is cut
+    for kappa in (0, -1):
+        with pytest.raises(ValueError, match=f"^kappa={kappa} out of range for 3 points$"):
+            online_cluster(np.zeros((3, 3)), kappa)
 
 
 def test_size_comes_from_a_square_matrix():
