@@ -30,8 +30,8 @@ class HurstFunction:
 
     Construction checks the fields, in this order, whichever constructor is
     used: a kind other than the three raises ValueError; a constant level
-    outside (0, 1), and a horizon q that is not positive (nan included),
-    raise HurstDomainError.
+    outside (0, 1), a non-finite amplitude h, and a horizon q that is not
+    positive (nan included), raise HurstDomainError.
     """
 
     kind: str
@@ -43,6 +43,8 @@ class HurstFunction:
             raise ValueError(f"unknown Hurst variant {self.kind!r}")
         if self.kind == CONSTANT and not 0.0 < self.h < 1.0:
             raise HurstDomainError(f"constant Hurst level: value {self.h} is outside (0, 1)")
+        if not np.isfinite(self.h):
+            raise HurstDomainError(f"amplitude h must be finite, got {self.h}")
         if not self.q > 0:
             raise HurstDomainError(f"horizon q must be positive, got {self.q}")
 

@@ -5,13 +5,13 @@ series; values round-trip through 17-significant-digit decimal text, as
 `'%.17g' % x` writes them. Ragged collections (unequal lengths) are legal for
 online use only.
 
-One exact kernel converts both ways. For finite |x| in [1e-4, 1e16),
+One exact kernel renders values. For finite |x| in [1e-4, 1e16),
 `_digits17` returns n = rint(|x| * 10**s) as an int64 of 17 digits, where
 s = 16 - k and k is the decimal exponent of |x|. In that band s <= 20, so
 10**s is an exact double, and Dekker's two-product splits |x| * 10**s into
 hi + lo with no rounding at all: hi is an integer (it is at least
 1e16 > 2**53) and rint(lo) finishes the rounding. The kernel also marks exact
-.5 ties, which both directions leave to Python.
+.5 ties, which the writer leaves to Python.
 
 `write_series` renders every value in numpy: the digits of n become ASCII
 eight at a time in uint64 words, `%g`'s fixed notation (a dot after digit k,
@@ -21,23 +21,21 @@ of bytes. Values outside the band, ties and zeros take `'%.17g' % x` one at a
 time. The bytes equal one `'%.17g'` per value.
 
 Files are read in bulk only in the layout `write_series` writes: no quotes,
-CR or NUL characters, each series one contiguous run of rows whose t_index
-text is the row's place in the run ("0", "1", ...), and a newline after every
-row. The bytes are split at commas and newlines in numpy, and the t_index
-text is compared with that place, never parsed. A value field
-`-?digits[.digits]` with at most 18 significant digits reads as D * 10**-f;
-the candidate y = D / 10**f, or else its neighbour on the side of D * 10**-f,
-is taken when the kernel's 17 digits of |y| are exactly D * 10**(s - f).
-The field then is the 17-digit decimal of y, which rounds back to y, and
-`float(field) == y`, because `float` depends only on the field's value.
-Every other field goes through `float()`: exponent notation, ties, zeros,
-and short decimals such as "0.1", whose double has other 17 digits.
+CR, NUL or 0x1c-0x1f bytes, ASCII t_index and value fields, each series one
+contiguous run of rows, and a newline after every row. The ids are split and
+compared in numpy, and one `np.loadtxt` call reads t_index and value. It
+converts a value with `PyOS_string_to_double`, the correctly rounded routine
+behind `float()`, so each value is bit-equal to `float()` of its field, and
+a t_index as `int()` reads it. It refuses some text that those accept, such
+as underscores and integers beyond int64. Each row's t_index must then equal
+its place in its run ("0", "00" and "+0" all do). The excluded bytes are
+those numpy reads otherwise than Python: it takes 0x1c-0x1f for spaces, and
+its int parser takes some non-ASCII characters for digits.
 
-Every other file is read row by row: other t_index text ("00", "+1", rows
-out of order), no final newline, blank lines, interleaved series, or any
-schema error. Both reads give the same paths and the same errors. A line
-that is not UTF-8, or a field over csv's length limit, is a SchemaError that
-names its line.
+Every other file is read row by row: text numpy refuses, rows out of order,
+no final newline, blank lines, interleaved series, or any schema error. Both
+reads give the same paths and the same errors. A line that is not UTF-8, or
+a field over csv's length limit, is a SchemaError that names its line.
 """
 
 from __future__ import annotations
@@ -53,17 +51,15 @@ from .processes import SamplePath
 
 HEADER = ["series_id", "t_index", "value"]
 _HEADER_BYTES = (",".join(HEADER) + "\n").encode()
-_CHUNK_ROWS = 1 << 16  # values converted at a time, which bounds the temporary arrays
+_CHUNK_ROWS = 1 << 16  # rows the writer renders at a time, which bounds its temporary arrays
 _POW10 = np.array([float(10**s) for s in range(24)])  # exact up to 10**22
 _INT10 = 10 ** np.arange(19, dtype=np.int64)
-_SCALE = np.array([10**e if 0 <= e <= 16 else 0 for e in range(-32, 33)], np.int64)  # 10**(i - 32)
 _BYTES_BELOW = np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64)  # mask of the low b bytes
 # _BEFORE[a, j]: the mask of the bytes of word j that lie before byte a of a string
 _BEFORE = _BYTES_BELOW[np.clip(np.arange(33)[:, None] - 8 * np.arange(3), 0, 8)]
 _ZEROS, _DOTS, _MINUS = (np.uint64(int.from_bytes(bytes([c]) * 8, "little"))
                          for c in b"0.-")  # one character in every byte
 _ZERO_POINT = np.uint64(int.from_bytes(b"0.000000", "little"))  # %g's "0.000" before digits
-_LOW7, _HIGH = np.uint64(0x7F7F7F7F7F7F7F7F), np.uint64(0x8080808080808080)
 
 
 class SchemaError(ValueError):
@@ -121,13 +117,6 @@ def _ascii8(x):
     v = q | ((v - q * 100) << 16)  # four 2-digit quarters in 16-bit lanes
     q = ((v * 103) >> 10) & 0x000F000F000F000F  # // 10 in each lane
     return q | ((v - q * 10) << 8) | _ZEROS
-
-
-def _parse8(v):
-    """The number whose eight decimal digits are the bytes of uint64 v, the first lowest."""
-    v = (v * 10 + (v >> 8)) & 0x00FF00FF00FF00FF
-    v = (v * 100 + (v >> 16)) & 0x0000FFFF0000FFFF
-    return (v * 10000 + (v >> 32)) & 0xFFFFFFFF
 
 
 def _open_gap(words, at, width, fill):
@@ -257,7 +246,8 @@ def read_series(source, ragged_ok: bool = False) -> list:
 
     A file in the layout `write_series` writes (no quotes, CR, NUL or blank
     lines, each series one contiguous run of rows indexed 0, 1, ..., a newline
-    after every row) is split and converted in numpy by `_read_columns`. Any
+    after every row) is read by `_read_columns`, whose one `np.loadtxt` call
+    gives each t_index and value as `int()` and `float()` read them. Any
     other file, and any file that fails a check, is read again by
     `_read_checked`, whose row-by-row checks define every SchemaError and
     raise the first one.
@@ -269,13 +259,19 @@ def read_series(source, ragged_ok: bool = False) -> list:
 
 def _read_columns(source: Path, ragged_ok: bool):
     """The paths of a valid file in the writer's layout, or None if it is in
-    another layout or any check would fail."""
+    another layout or any check would fail.
+
+    The ids are compared as bytes; t_index and value are read by one
+    `np.loadtxt` call, whose fields convert as `int()` and `float()` convert
+    them, or raise a ValueError, which also means None.
+    """
     with source.open("rb") as fh:
         data = fh.read()
     h = len(_HEADER_BYTES)
     if len(data) <= h or not data.startswith(_HEADER_BYTES):
         return None
-    if b'"' in data or b"\r" in data or b"\0" in data:
+    # and no 0x1c-0x1f, which numpy's parser reads as spaces where int() and float() refuse them
+    if any(c in data for c in (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
         return None
     body = np.frombuffer(data, np.uint8, offset=h)
     if body[-1] != 10:
@@ -289,24 +285,24 @@ def _read_columns(source: Path, ragged_ok: bool):
     c1, c2 = commas[0::2], commas[1::2]
     if not ((c1 >= starts).all() and (c2 < ends).all()):
         return None
-    id_size, value_size = c1 - starts, ends - c2 - 1
-    if max(id_size.max(), value_size.max()) > csv.field_size_limit():
-        return None  # csv refuses a field this long; a canonical index is short
-    # 8 bytes from any offset p of the body, at pad offset p + 24
-    pad = np.zeros(len(body) + 48, np.uint8)
-    pad[24:-24] = body
+    id_size = c1 - starts
+    if max(id_size.max(), (c2 - c1).max() - 1, (ends - c2).max() - 1) > csv.field_size_limit():
+        return None  # csv refuses a field this long
+    # 8 bytes from any offset of the body, zeros past its end
+    pad = np.zeros(len(body) + 8, np.uint8)
+    pad[:-8] = body
     words = np.ndarray((len(pad) - 7,), "<u8", pad, strides=(1,))
 
     # a row's id equals the id of the row before: its first 8 bytes, then 8 at a
     # time for the pairs (row i, row i + 1) still equal with id bytes left, so no
     # word is read past an id's end
-    w = words[starts + 24]
+    w = words[starts]
     same = (id_size[1:] == id_size[:-1]) & (
         ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.minimum(id_size[1:], 8)]) == 0)
     pair, q = np.flatnonzero(same & (id_size[1:] > 8)), 8
     while pair.size:
         left = id_size[pair] - q
-        w = words[starts[pair] + 24 + q] ^ words[starts[pair + 1] + 24 + q]
+        w = words[starts[pair] + q] ^ words[starts[pair + 1] + q]
         differ = (w & _BYTES_BELOW[np.minimum(left, 8)]) != 0
         same[pair[differ]] = False
         pair, q = pair[~differ & (left > 8)], q + 8
@@ -322,24 +318,19 @@ def _read_columns(source: Path, ragged_ok: bool):
     if len(set(ids)) < len(ids):
         return None  # a series in more than one run
 
-    # t_index text equal to "i," for the row's place i in its run
-    pos = np.arange(len(ends)) - np.repeat(first, counts)
-    index = np.arange(min(int(counts.max()), 10**7))
-    bits = (8 * np.searchsorted(_INT10[1:], index, side="right") + 8).astype(np.uint64)
-    canon = (_ascii8(index.astype(np.uint64)) >> (64 - bits)) | (np.uint64(44) << bits)
-    keep = (np.uint64(1) << (bits + 8)) - 1  # the digits and the comma
-    place = np.minimum(pos, len(index) - 1)
-    if not ((((words[c1 + 25] ^ canon[place]) & keep[place]) == 0) & (pos < len(index))).all():
+    # numpy's int parser reads some non-ASCII characters as digits (U+01FE as 462),
+    # so t_index and value must be ASCII
+    wide = np.flatnonzero(body > 127)
+    if (wide > c1[np.searchsorted(ends, wide)]).any():
         return None
-    values = np.concatenate([_parse_values(pad, words, ends[a : a + _CHUNK_ROWS] + 24,
-                                           value_size[a : a + _CHUNK_ROWS])
-                             for a in range(0, len(ends), _CHUNK_ROWS)])
-    for r in np.flatnonzero(np.isnan(values)):
-        try:
-            values[r] = float(data[h + c2[r] + 1 : h + ends[r]].decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            return None
-
+    try:
+        columns = np.loadtxt(source, dtype=[("t", np.int64), ("value", float)], delimiter=",",
+                             skiprows=1, usecols=(1, 2), comments=None, encoding="utf-8")
+    except ValueError:
+        return None
+    if not (columns["t"] == np.arange(len(ends)) - np.repeat(first, counts)).all():
+        return None  # a row out of its place in its run
+    values = np.ascontiguousarray(columns["value"])
     if not np.isfinite(values).all():
         return None
     paths = [SamplePath(id=sid, values=values[a : a + n])
@@ -347,55 +338,6 @@ def _read_columns(source: Path, ragged_ok: bool):
     if len({len(p) for p in paths}) > 1 and not ragged_ok:
         return None
     return paths
-
-
-def _parse_values(pad, words, ends, size):
-    """Each value field ending before pad offset `ends` as float, or NaN where
-    only `float()` can tell: not `-?digits[.digits]`, over 18 significant
-    digits, zero, outside [1e-4, 1e16), a tie, or no candidate verified."""
-    minus = pad[ends - size] == 45
-    # the 24 bytes that end each field as three words; inside marks its bytes after any sign
-    w = words[(ends - 24)[:, None] + np.arange(0, 24, 8)]
-    inside = ~_BEFORE.take(np.maximum(24 - size + minus, 0), axis=0)
-    t = w ^ _ZEROS
-    other = ((((t & _LOW7) + 0x7676767676767676) | t) & _HIGH) & inside  # 0x80 on non-digits
-    x = w ^ _DOTS
-    dot = ~(((x & _LOW7) + _LOW7) | x) & _HIGH & inside  # 0x80 on dots (zero bytes of x)
-    same = other == dot
-    dots = np.bitwise_count(dot)
-    count = dots[:, 0] + dots[:, 1] + dots[:, 2]
-    ok = (size <= 24) & same[:, 0] & same[:, 1] & same[:, 2] & (count <= 1) & (size - minus > count)
-    digits = t & inside & ~((other >> 7) * 255)  # digit values, 0 elsewhere
-    # close the dot's gap: the bytes up to it move up by one
-    later = dot != 0
-    later[:, 1] |= later[:, 2]
-    later[:, 0] |= later[:, 1]
-    gap = np.where(later, (dot << 1) - 1, 0)  # the bytes up to the dot
-    moved = digits << 8
-    moved[:, 1:] |= digits[:, :-1] >> 56
-    top, middle, low = _parse8((digits & ~gap) | (moved & gap)).astype(np.int64).T
-    at = np.bitwise_count(gap)
-    at = (at[:, 0] + at[:, 1] + at[:, 2]) // 8
-    ok &= top < 100  # at most 18 significant digits, so D fits an int64
-    d = np.where(ok, top, 0) * 10**16 + middle * 10**8 + low
-    f = np.where(count == 1, 24 - at, 0)
-    y = d / _POW10[f]
-    values = np.full(len(ends), np.nan)
-    idx = np.flatnonzero(ok & (y >= 1e-4) & (y < 1e16))
-    for _ in range(2):  # D / 10**f, then its neighbour on the side of the field's value
-        if not idx.size:
-            break
-        cand = y[idx]
-        inband = (cand >= 1e-4) & (cand < 1e16)
-        n, k, tie = _digits17(np.where(inband, cand, 1.0))
-        want = d[idx] * _SCALE[48 - k - f[idx]]  # D * 10**(s - f), 0 unless 0 <= s - f <= 16
-        match = inband & ~tie & (want == n)
-        hit = idx[match]
-        values[hit] = np.where(minus[hit], -cand[match], cand[match])
-        miss = inband & ~tie & (want > 0) & ~match
-        idx = idx[miss]
-        y[idx] = np.nextafter(cand[miss], np.where(want[miss] > n[miss], np.inf, 0.0))
-    return values
 
 
 def _csv_rows(fh, source: Path):

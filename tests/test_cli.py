@@ -147,6 +147,22 @@ READ_CORPUS = [
                  id="bad-index-after-multiline-id"),
     pytest.param(HEAD + "a,0,1\na,1,2\n" + "b" * 140_000 + ",0,1\n", False,
                  "line 4: field larger than field limit", id="field-over-limit"),
+    # csv's field limit holds for the t_index field too, unquoted
+    pytest.param(HEAD + "a,0,1\na," + " " * 140_000 + "1,2\n", False,
+                 "line 3: field larger than field limit", id="index-over-limit"),
+    # fields np.loadtxt refuses are read row by row, as int() and float() read
+    # them: '#' starts no comment, '_' separates digits, '1.0' is no integer
+    pytest.param(HEAD + "a,0,1\na,1,2#x\n", False, "line 3: non-numeric", id="value-hash"),
+    pytest.param(HEAD + "a,0,1\na,1,1_5\n", False, None, id="value-underscore"),
+    pytest.param(HEAD + "a,0,1\na,1.0,2\n", False, "line 3: non-integer", id="index-float-text"),
+    pytest.param(HEAD + "".join(f"a,{i},1\n" for i in range(10)) + "a,1_0,2\n", False, None,
+                 id="index-underscore"),
+    # numpy's parser reads bytes 0x1c-0x1f as spaces and U+01FE as the digit 462,
+    # int() and float() refuse both
+    pytest.param(HEAD + "a,0,1\na,1\x1c,2\n", False, "line 3: non-integer", id="index-0x1c"),
+    pytest.param(HEAD + "a,0,1\na,1,\x1f2\n", False, "line 3: non-numeric", id="value-0x1f"),
+    pytest.param(HEAD + "".join(f"a,{i},1\n" for i in range(462)) + "a,\u01fe,1\n", False,
+                 "line 464: non-integer", id="index-non-ascii-digit"),
     pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
     pytest.param(HEAD + "a,0,1\na,2,2\n", False, "gap", id="gap"),
     pytest.param(HEAD + "a,0,1\na,99999999999999999999,2\n", False, "gap", id="index-beyond-int64"),
@@ -194,6 +210,20 @@ def test_read_series_matches_rowwise_reader_on_awkward_ids(tmp_path):
     assert got == _read_outcome(rowwise_read_series, plain, False)
     assert [sid for sid, _ in got] == plain_ids
     assert _read_columns(plain, False) is not None
+
+
+@pytest.mark.parametrize("fmt", ["%r", "%.15g", "%.17e", "%.0f", "%.20f", "%+.5g"])
+def test_bulk_read_gives_float_of_each_field(tmp_path, fmt):
+    # values as other writers render them, in the writer's layout: the bulk
+    # read takes the file and gives float() of every field, bit for bit
+    rng = np.random.default_rng(4)
+    values = np.concatenate([AWKWARD_VALUES, rng.standard_normal(200)])
+    f = tmp_path / "formatted.csv"
+    f.write_text(HEAD + "".join(f"{sid},{i},{fmt % x}\n" for sid in ("a", "é")
+                                for i, x in enumerate(values.tolist())), encoding="utf-8")
+    assert _read_columns(f, False) is not None
+    got = _read_outcome(read_series, f, False)
+    assert got == _read_outcome(rowwise_read_series, f, False)
 
 
 def test_read_series_matches_rowwise_reader_across_chunks(tmp_path):
@@ -320,6 +350,16 @@ def test_simulate_rejects_a_horizon_that_is_not_positive(tmp_path, capsys, spec)
     assert code == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: config: bad hurst spec {spec!r}: horizon q")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spec", ["mono:nan,1.0", "sin:nan,1.0", "mono:inf,1.0"])
+def test_simulate_rejects_a_non_finite_amplitude(tmp_path, capsys, spec):
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", spec, "--n", "10", "--output", out])
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: bad hurst spec {spec!r}: amplitude")
     assert not out.exists()
 
 

@@ -50,12 +50,18 @@ def test_constant_out_of_range_rejected():
 
 
 def test_direct_construction_checks_every_field_in_order():
-    # the kind first, then a constant level, then the horizon, however built
+    # the kind first, then a constant level, the amplitude, then the horizon, however built
     with pytest.raises(ValueError, match="^unknown Hurst variant 'ramp'$") as exc:
         HurstFunction("ramp", 1.5, 0.0)
     assert not isinstance(exc.value, HurstDomainError)
     with pytest.raises(HurstDomainError, match=r"^constant Hurst level: value 1.5 is outside \(0, 1\)$"):
         HurstFunction("constant", 1.5, 0.0)
+    with pytest.raises(HurstDomainError, match="^amplitude h must be finite, got nan$"):
+        HurstFunction("monotonic", float("nan"), 1.0)
+    with pytest.raises(HurstDomainError, match="^amplitude h must be finite, got inf$"):
+        HurstFunction("periodic", float("inf"), 1.0)
+    with pytest.raises(HurstDomainError, match="^amplitude h must be finite, got nan$"):
+        HurstFunction("periodic", float("nan"), 0.0)
     with pytest.raises(HurstDomainError, match="^horizon q must be positive, got 0.0$"):
         HurstFunction("monotonic", 0.3, 0.0)
     with pytest.raises(HurstDomainError, match="^horizon q must be positive, got nan$"):
