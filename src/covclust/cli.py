@@ -92,8 +92,9 @@ def cmd_simulate(args) -> int:
         raise CliError("config", f"--paths must be at least 1, got {args.paths}")
     if args.n < 2:
         raise CliError("config", f"--n must be at least 2, got {args.n}")
-    if not 0 < args.delta_t < np.inf:
-        raise CliError("config", f"--delta-t must be positive and finite, got {args.delta_t}")
+    if not 0 < args.delta_t * args.n < np.inf:  # the grid's last point
+        raise CliError("config", f"--delta-t must be positive with --delta-t * --n finite, "
+                                 f"got {args.delta_t} at --n {args.n}")
     f = _parse_hurst(args.hurst)
     paths = [
         sample_path(f, args.n, args.delta_t, seed=(args.seed, idx), id=f"path{idx}")

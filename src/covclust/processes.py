@@ -8,7 +8,12 @@ scipy.special.gamma runs, so this module needs numpy only. The covariance is
 assembled in row blocks. On w > 1 usable CPUs, the calling thread and w - 1
 helper threads (w at most one per _COV_BLOCK rows of the matrix) evaluate
 blocks of _COV_BLOCK // w rows, each writing its own disjoint entries, so
-neither the matrix nor the rows in flight depend on the CPU count.
+neither the matrix nor the rows in flight depend on the CPU count. Each
+thread owns a fixed set of blocks, one wide and one narrow from every run of
+2w, so the threads share no queue and no lock. They run with numpy's
+floating-point warnings silenced, and each finished block is checked once:
+a non-finite entry, such as |t|^(H_i + H_j) overflowing on a wide grid, raises
+FactorizationError.
 
 Factors are cached, least recently used first out, within _FACTOR_BYTES. On a
 miss the covariance is built first, then old factors are evicted until the new
@@ -58,7 +63,7 @@ _GAMMA_CHUNK = 1 << 14
 
 
 class FactorizationError(np.linalg.LinAlgError):
-    """Covariance factorization failed even after maximum diagonal jitter."""
+    """The covariance has a non-finite entry, or is not factorizable even with maximum jitter."""
 
 
 @dataclass(frozen=True)
@@ -182,17 +187,28 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     matrix is exactly symmetric.
 
     Blocks have _COV_BLOCK // w rows, with w = min(usable CPUs,
-    ceil(n / _COV_BLOCK)). The calling thread and w - 1 helper threads take
-    them in turn and run numpy ufuncs, which release the interpreter lock; at
-    w = 1 no thread is started. Each thread evaluates its blocks into its own
-    workspace of 4 x (_COV_BLOCK // w) x n floats, all allocated by the calling
-    thread, so the build holds about 4 x _COV_BLOCK x n floats whatever the CPU
-    count. The block of rows [r0, r1) writes only rows [r0, r1) from column r0
-    on and columns [r0, r1) from row r1 on, so no two blocks write the same
-    entry. Every entry takes the same ufuncs on the same operands in any block,
-    so the matrix is bitwise the same for any w. The helpers are joined before
-    the function returns, also when a block raises; the first error is then
-    raised in the calling thread.
+    ceil(n / _COV_BLOCK)). Thread k (the calling thread is k = 0, the w - 1
+    helpers k = 1 .. w - 1) evaluates block b exactly when b mod 2w is k or
+    2w - 1 - k. Blocks narrow down the upper triangle, so pairing the k-th
+    widest and the k-th narrowest of every run of 2w balances the work
+    without a shared queue. The threads run numpy ufuncs, which release the
+    interpreter lock; at w = 1 no thread is started. Each thread evaluates
+    its blocks into its own workspace of 4 x (_COV_BLOCK // w) x n floats, all
+    allocated by the calling thread, so the build holds about
+    4 x _COV_BLOCK x n floats whatever the CPU count. The block of rows
+    [r0, r1) writes only rows [r0, r1) from column r0 on and columns [r0, r1)
+    from row r1 on, so no two blocks write the same entry. Every entry takes
+    the same ufuncs on the same operands in any block, so the matrix is
+    bitwise the same for any w.
+
+    Each thread silences numpy's floating-point warnings for itself (a new
+    thread does not inherit the caller's errstate), and each finished block
+    is checked once for non-finite entries, which raise FactorizationError:
+    on a grid wide enough for |t|^a to overflow, or where the coupling factor
+    is not finite. The helpers are joined before the function returns, also
+    when a block raises; a thread stops at its first error, the others finish
+    their own blocks, and the first error recorded is raised in the calling
+    thread.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -226,8 +242,6 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         np.multiply(g[rows, None], g[None, cols], out=d)
         np.sqrt(d, out=d)
         np.divide(d, den, out=d)
-        if not np.isfinite(d, out=finite[:size].reshape(shape)).all():
-            raise ValueError("non-finite coupling factor in covariance assembly")
         block = den  # the denominator is spent; its slice takes the block
         np.power(tt[None, cols], a, out=block)
         np.power(tt[rows, None], a, out=tmp)
@@ -237,6 +251,8 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         np.power(tmp, a, out=tmp)
         np.subtract(block, tmp, out=block)
         np.multiply(d, block, out=block)
+        if not np.isfinite(block, out=finite[:size].reshape(shape)).all():
+            raise FactorizationError("non-finite entry in covariance assembly")
         cov[rows, r0:] = block
         cov[r1:, rows] = block[:, r1 - r0 :].T
 
@@ -247,26 +263,22 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     rows_max = min(step, n)
     work = np.empty((workers, 4, rows_max * n))
     finite = np.empty((workers, rows_max * n), dtype=bool)
-    pending = iter(range(0, n, step))
-    lock = threading.Lock()
     errors = []
 
-    def drain(k: int) -> None:
-        while not errors:
-            with lock:
-                r0 = next(pending, None)
-            if r0 is None:
-                return
-            try:
-                fill(r0, work[k], finite[k])
-            except BaseException as exc:  # raised again in the calling thread
-                errors.append(exc)
+    @np.errstate(all="ignore")  # per call: a new thread starts with numpy's defaults
+    def own(k: int) -> None:
+        try:
+            for b, r0 in enumerate(range(0, n, step)):
+                if b % (2 * workers) in (k, 2 * workers - 1 - k):
+                    fill(r0, work[k], finite[k])
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
 
-    helpers = [threading.Thread(target=drain, args=(k,)) for k in range(1, workers)]
+    helpers = [threading.Thread(target=own, args=(k,)) for k in range(1, workers)]
     for helper in helpers:
         helper.start()
     try:
-        drain(0)
+        own(0)
     finally:
         for helper in helpers:
             helper.join()

@@ -10,6 +10,7 @@ from covclust import (
     Clustering,
     ExperimentConfig,
     GroundTruth,
+    HurstFunction,
     SamplePath,
     cli,
     evaluation,
@@ -375,7 +376,7 @@ def test_simulate_rejects_fewer_than_one_path(tmp_path, capsys, paths):
 
 @pytest.mark.parametrize("flag, value", [("--n", 1), ("--n", 0), ("--delta-t", 0),
                                          ("--delta-t", -0.5), ("--delta-t", "nan"),
-                                         ("--delta-t", "inf")])
+                                         ("--delta-t", "inf"), ("--delta-t", "1e308")])
 def test_simulate_rejects_bad_n_and_delta_t(tmp_path, capsys, flag, value):
     out = tmp_path / "x.csv"
     code = run(["simulate", "--hurst", "constant:0.5", flag, value, "--output", out])
@@ -395,6 +396,25 @@ def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monke
                 "--output", tmp_path / "x.csv"])
     assert code == 5
     assert capsys.readouterr().err.startswith("error: numeric: not positive definite")
+
+
+@pytest.mark.parametrize("hurst, n, delta_t, cpus", [("constant:0.9", 10, "1e200", 1),
+                                                     ("sin:0.4,1e300", 600, "1e296", 1),
+                                                     ("sin:0.4,1e300", 600, "1e296", 2)])
+def test_simulate_overflowing_covariance_is_one_numeric_line(tmp_path, capsys, monkeypatch,
+                                                             hurst, n, delta_t, cpus):
+    # the grid is finite but |t|^a overflows; on 2 CPUs a helper thread builds
+    # blocks too, and it must neither warn nor leave a factor behind
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+    processes.sample_path(HurstFunction.constant(0.5), 6, 1.0 / 6, seed=0)
+    cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", hurst, "--n", n, "--delta-t", delta_t, "--output", out])
+    assert code == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: numeric: ")
+    assert not out.exists()
+    assert [(key, id(factor)) for key, factor in processes._FACTORS.items()] == cached
 
 
 def test_output_dir_env(tmp_path, monkeypatch):

@@ -109,17 +109,18 @@ def test_build_cov_matrix_bitwise_matches_dense(n, kind):
 
 @pytest.mark.parametrize("n", [600, 2000])
 def test_build_cov_matrix_same_bytes_for_any_worker_count(monkeypatch, n):
-    # 1 CPU builds serially in 256-row blocks; 2 and 3 CPUs split them among
-    # 2 and 3 threads
+    # 1 CPU builds serially in 256-row blocks; more CPUs give as many threads
+    # (at most one per 256 rows), each with its fixed blocks. At n = 2000, 8
+    # threads take 63 blocks of 32 rows, so the last run of 2w = 16 has 15.
     f = HurstFunction.periodic(0.3, 1.0)
     times = np.arange(1, n + 1) / n
     threads = threading.active_count()
     built = []
-    for cpus in (1, 2, 3):
+    for cpus in (1, 2, 3, 4, 8):
         monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
         built.append(build_cov_matrix(f, times).tobytes())
         assert threading.active_count() == threads
-    assert built[1] == built[0] and built[2] == built[0]
+    assert all(b == built[0] for b in built[1:])
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -162,7 +163,7 @@ def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
         messages.append(str(raised.value))
         assert [(key, id(factor)) for key, factor in processes._FACTORS.items()] == cached
         assert threading.active_count() == threads
-    assert messages == ["non-finite coupling factor in covariance assembly"] * 2
+    assert messages == ["non-finite entry in covariance assembly"] * 2
 
 
 def _gamma_arguments(f, n):
