@@ -35,7 +35,8 @@ OUTPUT_DIR_ENV = "COVCLUST_OUTPUT_DIR"
 # The category of each reported error type; an error takes that of the first
 # of these types in its class's method resolution order.
 _CATEGORIES = {SchemaError: "schema", FactorizationError: "numeric",
-               HurstDomainError: "infeasible", InfeasibleError: "infeasible", OSError: "io"}
+               HurstDomainError: "infeasible", InfeasibleError: "infeasible",
+               MemoryError: "infeasible", OSError: "io"}
 _EXIT_CODES = {"schema": 3, "config": 4, "infeasible": 5, "numeric": 5, "io": 6}
 
 _SERIAL_HELP = "accepted for compatibility; D is computed serially"
@@ -92,6 +93,9 @@ def cmd_simulate(args) -> int:
         raise CliError("config", f"--paths must be at least 1, got {args.paths}")
     if args.n < 2:
         raise CliError("config", f"--n must be at least 2, got {args.n}")
+    if 8 * args.n**2 > np.iinfo(np.intp).max:  # the n x n covariance's bytes
+        raise CliError("config", f"--n {args.n} is too large: its n x n covariance would "
+                                 f"take more bytes than this platform can address")
     if not 0 < args.delta_t * args.n < np.inf:  # the grid's last point
         raise CliError("config", f"--delta-t must be positive with --delta-t * --n finite, "
                                  f"got {args.delta_t} at --n {args.n}")

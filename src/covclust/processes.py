@@ -15,6 +15,12 @@ floating-point warnings silenced, and each finished block is checked once:
 a non-finite entry, such as |t|^(H_i + H_j) overflowing on a wide grid, raises
 FactorizationError.
 
+The covariance is factored in place, by the dpotrf of the OpenBLAS that numpy
+ships, bound once through ctypes: the factor is the covariance's own buffer,
+with the bytes numpy.linalg.cholesky would give, so a new factor takes one
+n x n array rather than three. Where that library cannot be bound,
+numpy.linalg.cholesky factors a copy, with the same bytes at the old peak.
+
 Factors are cached, least recently used first out, within _FACTOR_BYTES. On a
 miss the covariance is built first, then old factors are evicted until the new
 one fits, and only then is the covariance factored: a failed build evicts
@@ -23,11 +29,13 @@ nothing, and a new factor is never held beside the factors it displaces.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -299,31 +307,106 @@ def fbm_increment_cov_matrix(h: float, var1: float, m: int, delta: float = 1.0) 
     return row
 
 
+def _bind_dpotrf():
+    """LAPACK's dpotrf from the OpenBLAS that numpy ships, or None where it is not found.
+
+    numpy.linalg.cholesky runs the same routine of the same library. That
+    build takes 64-bit integers. numpy's wheels keep the library in
+    numpy.libs beside the package on Linux, and in numpy/.dylibs on macOS.
+    """
+    root = Path(np.__file__).resolve().parent
+    for lib in sorted([*(root.parent / "numpy.libs").glob("*openblas*"),
+                       *(root / ".dylibs").glob("*openblas*")]):
+        try:
+            fn = ctypes.CDLL(str(lib)).scipy_dpotrf_64_
+        except (OSError, AttributeError):
+            continue
+        int64 = ctypes.POINTER(ctypes.c_int64)
+        matrix = np.ctypeslib.ndpointer(np.float64, ndim=2, flags=("C_CONTIGUOUS", "WRITEABLE"))
+        fn.argtypes = [ctypes.c_char_p, int64, matrix, int64, int64]
+        fn.restype = None
+        return fn
+    return None
+
+
+_DPOTRF = _bind_dpotrf()
+
+
+def _blocks(n: int):
+    """Row blocks [r0, r1) of _COV_BLOCK rows.
+
+    Each comes with the indices (i, j) of the strict lower triangle of its
+    diagonal square.
+    """
+    for r0 in range(0, n, _COV_BLOCK):
+        r1 = min(r0 + _COV_BLOCK, n)
+        yield r0, r1, np.tril_indices(r1 - r0, -1)
+
+
+def _cholesky_in_place(a: np.ndarray) -> bool:
+    """Overwrite a with its lower Cholesky factor; False, if a is not positive definite.
+
+    a is C-ordered and exactly symmetric, so its memory is also the
+    column-major matrix that numpy.linalg.cholesky would copy it into, and
+    dpotrf with uplo 'L' factors it there. That leaves L transposed in the
+    upper triangle of a, diagonal included, and the strict lower triangle
+    untouched. L is then copied below the diagonal, _COV_BLOCK rows at a
+    time, and the strict upper triangle zeroed. A failed dpotrf has
+    overwritten part of the upper triangle and the diagonal, never the strict
+    lower triangle. Without the binding numpy.linalg.cholesky factors a copy,
+    which replaces a only on success.
+    """
+    if _DPOTRF is None:
+        try:
+            a[...] = np.linalg.cholesky(a.T)
+        except np.linalg.LinAlgError:
+            return False
+        return True
+    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+    _DPOTRF(b"L", ctypes.byref(n), a, ctypes.byref(n), ctypes.byref(info))
+    if info.value != 0:
+        return False
+    for r0, r1, (i, j) in _blocks(len(a)):
+        a[r1:, r0:r1] = a[r0:r1, r1:].T
+        a[r0:r1, r1:] = 0.0
+        square = a[r0:r1, r0:r1]
+        square[i, j] = square[j, i]
+        square[j, i] = 0.0
+    return True
+
+
 def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factor of a symmetric PSD matrix, with escalating jitter.
 
-    cov must be exactly symmetric: the function factors its transposed view,
-    which then holds the same values. For a C-ordered cov that view is
-    F-ordered, so numpy copies it into LAPACK's column-major buffer
-    contiguously rather than with a stride of n.
+    cov must be a C-ordered, writable and exactly symmetric float64 matrix,
+    and is consumed: it is factored in place, and the factor returned is cov
+    itself, holding the bytes of numpy.linalg.cholesky(cov). A new factor so
+    takes one n x n array rather than three (the covariance, numpy's
+    column-major copy of it and numpy's output). Where numpy's bundled
+    LAPACK cannot be bound, numpy.linalg.cholesky factors a copy instead:
+    the same bytes, at the old peak.
 
     The matrix itself is factored first. Only if that fails is additive
-    diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up. Every
-    level shifts a fresh copy of cov in one reused array, bit for bit
-    cov + jitter * np.eye(n).
+    diagonal jitter tried, escalating 1e-14 -> 1e-8 before giving up. Before
+    each level, the upper triangle is restored from the strict lower one,
+    which a failed factorization leaves intact, and the diagonal from a saved
+    copy. Adding 0.0 everywhere (-0.0 turns to +0.0) and the jitter on the
+    diagonal then makes cov bit for bit cov + jitter * np.eye(n).
     """
-    try:
-        return np.linalg.cholesky(cov.T)
-    except np.linalg.LinAlgError:
-        pass
-    shifted = np.empty(cov.shape)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"cholesky_with_jitter needs a square matrix, got shape {cov.shape}")
+    diagonal = cov.diagonal().copy()
+    if _cholesky_in_place(cov):
+        return cov
     for jitter in _JITTERS:
-        np.add(cov, 0.0, out=shifted)
-        shifted.flat[:: len(shifted) + 1] += jitter
-        try:
-            return np.linalg.cholesky(shifted.T)
-        except np.linalg.LinAlgError:
-            continue
+        for r0, r1, (i, j) in _blocks(len(cov)):
+            cov[r0:r1, r1:] = cov[r1:, r0:r1].T
+            square = cov[r0:r1, r0:r1]
+            square[j, i] = square[i, j]
+        cov += 0.0
+        np.fill_diagonal(cov, diagonal + jitter)
+        if _cholesky_in_place(cov):
+            return cov
     raise FactorizationError(
         "covariance factorization failed after maximum jitter 1e-8; "
         "the kernel is numerically degenerate"
@@ -344,7 +427,10 @@ _FACTORS: OrderedDict = OrderedDict()
 
 
 def _factor(key: tuple, build_cov) -> np.ndarray:
-    """Cached Cholesky factor of build_cov(), evicting between build and factoring."""
+    """Cached Cholesky factor of build_cov(), in the array build_cov() returns.
+
+    Old factors are evicted between the build and the factoring.
+    """
     factor = _FACTORS.get(key)
     if factor is not None:
         _FACTORS.move_to_end(key)

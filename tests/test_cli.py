@@ -386,6 +386,41 @@ def test_simulate_rejects_bad_n_and_delta_t(tmp_path, capsys, flag, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", [10**400, 2**32])
+def test_simulate_rejects_an_n_too_large_to_address(tmp_path, capsys, n):
+    # 10**400 overflowed the float check of --delta-t * --n; 2**32 would ask
+    # for a 128 EiB covariance. Both are refused before any array is made.
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code = run(["simulate", "--hurst", "constant:0.5", "--n", n, "--output", out])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config: --n {n} is too large")
+    assert peak < 2**20
+    assert not out.exists()
+
+
+def test_simulate_memory_error_is_one_infeasible_line(tmp_path, capsys, monkeypatch):
+    def fail(f, times):
+        raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (63246, 63246)")
+
+    processes.sample_path(HurstFunction.constant(0.5), 6, 1.0 / 6, seed=0)
+    cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
+    monkeypatch.setattr(processes, "build_cov_matrix", fail)
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--hurst", "constant:0.4", "--n", 63246, "--delta-t", "1e-5",
+                "--output", out])
+    assert code == 5
+    assert capsys.readouterr().err.splitlines() == [
+        "error: infeasible: Unable to allocate 29.8 GiB for an array with shape (63246, 63246)"]
+    assert not out.exists()
+    assert [(key, id(factor)) for key, factor in processes._FACTORS.items()] == cached
+
+
 def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
     def fail(cov):
         raise processes.FactorizationError("not positive definite")

@@ -267,30 +267,100 @@ def test_cholesky_with_jitter_degenerate():
 @pytest.mark.parametrize("signed_zero", [False, True])
 def test_cholesky_with_jitter_levels_are_cov_plus_jitter_eye(monkeypatch, signed_zero):
     # every level factors bytes identical to cov + jitter * np.eye(n), also where
-    # cov holds -0.0; a stub that records each matrix and fails tries all levels
+    # cov holds -0.0; a stub of the in-place factorization that records each
+    # matrix and fails tries all levels
     v = np.array([1.0, 2.0, 3.0])
     cov = np.outer(v, v)
     if signed_zero:
         cov[0, 2] = cov[2, 0] = -0.0
+    expected = [cov.tobytes()] + [(cov + j * np.eye(3)).tobytes() for j in JITTERS]
     seen = []
 
     def fail(a):
         seen.append(a.tobytes())
-        raise np.linalg.LinAlgError("forced")
+        return False
 
-    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    monkeypatch.setattr(processes, "_cholesky_in_place", fail)
     with pytest.raises(FactorizationError):
         cholesky_with_jitter(cov)
-    assert seen == [cov.tobytes()] + [(cov + j * np.eye(3)).tobytes() for j in JITTERS]
+    assert seen == expected
+
+
+@pytest.mark.parametrize("n, rank", [(3, 2), (300, 295), (600, 595)])
+def test_cholesky_with_jitter_restores_each_level_after_a_failed_factorization(monkeypatch,
+                                                                              n, rank):
+    # a failed dpotrf leaves partial results in the upper triangle and on the
+    # diagonal; each level must still see exactly cov + jitter * np.eye(n),
+    # across several row blocks too, and the factor is numpy's of that matrix
+    a = np.random.default_rng(n).standard_normal((n, rank)) * (1000 / np.sqrt(n))
+    gram = a @ a.T
+    cov = np.triu(gram) + np.triu(gram, 1).T  # exactly symmetric, rank-deficient
+    expected = [cov.tobytes()] + [(cov + j * np.eye(n)).tobytes() for j in JITTERS]
+    seen = []
+    real = processes._cholesky_in_place
+
+    def recorded(m):
+        seen.append(m.tobytes())
+        return real(m)
+
+    monkeypatch.setattr(processes, "_cholesky_in_place", recorded)
+    factor = cholesky_with_jitter(cov)
+    assert len(seen) >= 2
+    assert seen == expected[: len(seen)]
+    shifted = np.frombuffer(seen[-1]).reshape(n, n)
+    assert factor.tobytes() == np.linalg.cholesky(shifted).tobytes()
+
+
+def _spd_covariances():
+    f = HurstFunction.periodic(0.3, 1.0)
+    for n in (2, 255, 256, 257, 300, 2000):
+        yield build_cov_matrix(f, np.arange(1, n + 1) / n)
+    yield build_cov_matrix(HurstFunction.monotonic(0.3, 1.0), np.arange(1, 2001) / 2000)
+    yield fbm_increment_cov_matrix(0.7, 1.0, 500, 0.01)
+
+
+def _assert_numpy_factors_in_place():
+    for cov in _spd_covariances():
+        expected = np.linalg.cholesky(cov).tobytes()
+        factor = cholesky_with_jitter(cov)
+        assert factor is cov
+        assert factor.tobytes() == expected
 
 
 def test_cholesky_with_jitter_spd_is_plain_cholesky():
-    # factoring the transposed view of an exactly symmetric matrix changes no bit
+    # dpotrf on the C-ordered matrix in place gives numpy's factor byte for byte
+    _assert_numpy_factors_in_place()
+
+
+def test_cholesky_without_the_lapack_binding_is_plain_cholesky(monkeypatch):
+    monkeypatch.setattr(processes, "_DPOTRF", None)
+    _assert_numpy_factors_in_place()
+
+
+def test_numpy_lapack_is_bound():
+    # numpy's wheels ship OpenBLAS; without it each new factor peaks at three
+    # n x n arrays
+    assert processes._DPOTRF is not None
+
+
+def test_new_factor_is_the_built_covariance(monkeypatch):
+    processes._FACTORS.clear()
+    built = []
+    real_build = processes.build_cov_matrix
+
+    def recorded_build(f, times):
+        built.append(real_build(f, times))
+        return built[-1]
+
+    monkeypatch.setattr(processes, "build_cov_matrix", recorded_build)
     f = HurstFunction.periodic(0.3, 1.0)
-    for cov in (build_cov_matrix(f, np.arange(1, 301) / 300),
-                build_cov_matrix(f, np.arange(1, 2001) / 2000),
-                fbm_increment_cov_matrix(0.7, 1.0, 500, 0.01)):
-        assert cholesky_with_jitter(cov).tobytes() == np.linalg.cholesky(cov).tobytes()
+    sample_path(f, 300, 1.0 / 300, seed=0)
+    assert np.shares_memory(processes._FACTORS[("mbm", f, 300, 1.0 / 300)], built[0])
+
+
+def test_cholesky_with_jitter_rejects_a_matrix_that_is_not_square():
+    with pytest.raises(ValueError):
+        cholesky_with_jitter(np.ones((3, 2)))
 
 
 def test_cholesky_with_jitter_indefinite_fails():
