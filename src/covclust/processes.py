@@ -5,10 +5,12 @@ degenerate at t = 0), by factorizing the population covariance matrix and
 pushing a seeded standard-normal vector through the factor. The covariance's
 Gamma values come from `_gamma`, a numpy port of the cephes routine that
 scipy.special.gamma runs, so this module needs numpy only. The covariance is
-assembled in row blocks. On w > 1 usable CPUs, the calling thread and w - 1
-helper threads (w at most one per _COV_BLOCK rows of the matrix) evaluate
-blocks of _COV_BLOCK // w rows, each writing its own disjoint entries, so
-neither the matrix nor the rows in flight depend on the CPU count. Each
+assembled in row blocks, after the matrix itself is allocated: an n too
+large fails there, with nothing else allocated. On w > 1 usable CPUs, the
+calling thread and w - 1 helper threads (w at most one per _THREAD_ROWS rows
+of the matrix) evaluate blocks of _COV_BLOCK // w rows, each writing its own
+disjoint entries, so neither the matrix nor the _COV_BLOCK rows in flight
+(3 x _COV_BLOCK x n floats of workspace) depend on the CPU count. Each
 thread owns a fixed set of blocks, one wide and one narrow from every run of
 2w, so the threads share no queue and no lock. They run with numpy's
 floating-point warnings silenced, and each finished block is checked once:
@@ -43,9 +45,11 @@ from .hurst import HurstFunction
 
 _JITTERS = (1e-14, 1e-13, 1e-12, 1e-11, 1e-10, 1e-9, 1e-8)
 # Rows in flight in the covariance assembly, over all its threads. Its
-# workspace then holds 4 x _COV_BLOCK x n floats (16 MB at n = 2000) rather
-# than n x n.
-_COV_BLOCK = 256
+# workspace then holds 3 x _COV_BLOCK x n floats (3 MB at n = 2000) rather
+# than n x n. The factoring copies its triangles this many rows at a time.
+_COV_BLOCK = 64
+# The covariance assembly starts at most one thread per this many rows.
+_THREAD_ROWS = 256
 # Cephes' rational approximation Gamma(2 + y) = P(y) / Q(y) on y in [0, 1).
 _GAMMA_P = (
     1.60119522476751861407e-4,
@@ -187,27 +191,32 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     """Population covariance matrix of the mBm on a strictly increasing time grid.
 
     Entry (i, j) is d_factor(H_i, H_j) * (|t_j|^a + |t_i|^a - |t_j - t_i|^a)
-    with a = H_i + H_j. Only the upper triangle is evaluated, in row blocks
-    written into one preallocated matrix; each block is also written,
+    with a = H_i + H_j. The n x n matrix is allocated first, before any array
+    of n values, so `times` may be any sized sequence that numpy converts
+    (`_mbm_factor` passes a `_Grid`) and an n too large raises MemoryError
+    with nothing else allocated. Only the upper triangle is evaluated, in row
+    blocks written into that matrix; each block is also written,
     transposed, below the diagonal. The square a block holds on the diagonal
     is written as evaluated: every operation of an entry is symmetric in
     (i, j), so its lower half equals its upper half bit for bit and the
     matrix is exactly symmetric.
 
-    Blocks have _COV_BLOCK // w rows, with w = min(usable CPUs,
-    ceil(n / _COV_BLOCK)). Thread k (the calling thread is k = 0, the w - 1
+    Blocks have max(1, _COV_BLOCK // w) rows, with w = min(usable CPUs,
+    ceil(n / _THREAD_ROWS)). Thread k (the calling thread is k = 0, the w - 1
     helpers k = 1 .. w - 1) evaluates block b exactly when b mod 2w is k or
     2w - 1 - k. Blocks narrow down the upper triangle, so pairing the k-th
     widest and the k-th narrowest of every run of 2w balances the work
     without a shared queue. The threads run numpy ufuncs, which release the
     interpreter lock; at w = 1 no thread is started. Each thread evaluates
-    its blocks into its own workspace of 4 x (_COV_BLOCK // w) x n floats, all
-    allocated by the calling thread, so the build holds about
-    4 x _COV_BLOCK x n floats whatever the CPU count. The block of rows
-    [r0, r1) writes only rows [r0, r1) from column r0 on and columns [r0, r1)
-    from row r1 on, so no two blocks write the same entry. Every entry takes
-    the same ufuncs on the same operands in any block, so the matrix is
-    bitwise the same for any w.
+    the terms of its blocks into its own workspace of 3 x (_COV_BLOCK // w) x
+    n floats, all allocated by the calling thread, and sums the bracket in the
+    block's own rows of the matrix; so the build holds about
+    3 x _COV_BLOCK x n floats (3 MB at n = 2000) whatever the CPU count,
+    besides the 5 x _GAMMA_CHUNK floats that each `_gamma` call takes. The
+    block of rows [r0, r1) writes only rows [r0, r1) from column r0 on and
+    columns [r0, r1) from row r1 on, so no two blocks write the same entry.
+    Every entry takes the same ufuncs on the same operands in any block, so
+    the matrix is bitwise the same for any w and any _COV_BLOCK.
 
     Each thread silences numpy's floating-point warnings for itself (a new
     thread does not inherit the caller's errstate), and each finished block
@@ -218,59 +227,58 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     their own blocks, and the first error recorded is raised in the calling
     thread.
     """
+    n = len(times)
+    cov = np.empty((n, n))  # first: an n too large fails here, before any array of n values
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
+    if times.ndim != 1 or n < 1:
         raise ValueError("times must be a non-empty 1-d grid")
-    if times.size > 1 and not np.all(np.diff(times) > 0):
+    if n > 1 and not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     h = f.values_on(times)
     tt = np.abs(times)
     g = _gamma(2.0 * h + 1.0) * np.sin(np.pi * h)
-    n = times.size
-    cov = np.empty((n, n))
-    workers = min(_usable_cpus(), -(-n // _COV_BLOCK))
-    step = _COV_BLOCK // workers
+    workers = min(_usable_cpus(), -(-n // _THREAD_ROWS))
+    step = max(1, _COV_BLOCK // workers)
 
-    def fill(r0: int, work: np.ndarray, finite: np.ndarray) -> None:
+    def fill(r0: int, work: np.ndarray) -> None:
         # d * (|t_j|^a + |t_i|^a - |t_j - t_i|^a) with d = sqrt(g_i g_j) /
-        # (2 G(a + 1) sin(pi a / 2)), ufunc by ufunc in evaluation order, each
-        # result written into a C-contiguous slice of this thread's workspace
+        # (2 G(a + 1) sin(pi a / 2)), ufunc by ufunc in evaluation order: the
+        # terms of d in this thread's workspace, the bracket in the block's
+        # own rows of cov
         r1 = min(r0 + step, n)
         rows, cols = slice(r0, r1), slice(r0, n)
         size, shape = (r1 - r0) * (n - r0), (r1 - r0, n - r0)
-        a, den, d, tmp = (buf[:size].reshape(shape) for buf in work)
+        a, den, d = (buf[:size].reshape(shape) for buf in work)
+        block = cov[rows, r0:]
         np.add(h[rows, None], h[None, cols], out=a)
         np.add(a, 1.0, out=den)
         _gamma(den, out=den)
         np.multiply(2.0, den, out=den)
-        np.multiply(np.pi, a, out=tmp)
-        np.divide(tmp, 2.0, out=tmp)
-        np.sin(tmp, out=tmp)
-        np.multiply(den, tmp, out=den)
+        np.multiply(np.pi, a, out=d)
+        np.divide(d, 2.0, out=d)
+        np.sin(d, out=d)
+        np.multiply(den, d, out=den)
         np.multiply(g[rows, None], g[None, cols], out=d)
         np.sqrt(d, out=d)
         np.divide(d, den, out=d)
-        block = den  # the denominator is spent; its slice takes the block
         np.power(tt[None, cols], a, out=block)
-        np.power(tt[rows, None], a, out=tmp)
-        np.add(block, tmp, out=block)
-        np.subtract(times[None, cols], times[rows, None], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.power(tmp, a, out=tmp)
-        np.subtract(block, tmp, out=block)
+        np.power(tt[rows, None], a, out=den)  # the denominator is spent
+        np.add(block, den, out=block)
+        np.subtract(times[None, cols], times[rows, None], out=den)
+        np.abs(den, out=den)
+        np.power(den, a, out=den)
+        np.subtract(block, den, out=block)
         np.multiply(d, block, out=block)
-        if not np.isfinite(block, out=finite[:size].reshape(shape)).all():
+        finite = work[1].view(bool)[:size].reshape(shape)  # the spent denominator's bytes
+        if not np.isfinite(block, out=finite).all():
             raise FactorizationError("non-finite entry in covariance assembly")
-        cov[rows, r0:] = block
         cov[r1:, rows] = block[:, r1 - r0 :].T
 
     # Every thread's workspace is allocated here. What a helper allocates comes
     # from its own glibc malloc arena, which stays resident after the helper
     # exits: helpers that allocated their own temporaries raised the peak of
     # `simulate --n 2000` by 11 MB from its second Hurst profile on.
-    rows_max = min(step, n)
-    work = np.empty((workers, 4, rows_max * n))
-    finite = np.empty((workers, rows_max * n), dtype=bool)
+    work = np.empty((workers, 3, min(step, n) * n))
     errors = []
 
     @np.errstate(all="ignore")  # per call: a new thread starts with numpy's defaults
@@ -278,7 +286,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         try:
             for b, r0 in enumerate(range(0, n, step)):
                 if b % (2 * workers) in (k, 2 * workers - 1 - k):
-                    fill(r0, work[k], finite[k])
+                    fill(r0, work[k])
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -443,9 +451,26 @@ def _factor(key: tuple, build_cov) -> np.ndarray:
     return factor
 
 
+@dataclass(frozen=True)
+class _Grid:
+    """The grid delta_t * (1, ..., n), made only when numpy reads it.
+
+    So `build_cov_matrix` allocates the n x n covariance before any array of
+    n values: an n too large fails with nothing else allocated.
+    """
+
+    n: int
+    delta_t: float
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return self.delta_t * np.arange(1, self.n + 1)
+
+
 def _mbm_factor(f: HurstFunction, n: int, delta_t: float) -> np.ndarray:
-    return _factor(("mbm", f, n, delta_t),
-                   lambda: build_cov_matrix(f, delta_t * np.arange(1, n + 1)))
+    return _factor(("mbm", f, n, delta_t), lambda: build_cov_matrix(f, _Grid(n, delta_t)))
 
 
 def _fgn_factor(h: float, n: int, delta: float) -> np.ndarray:

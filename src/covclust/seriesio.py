@@ -51,7 +51,9 @@ from .processes import SamplePath
 
 HEADER = ["series_id", "t_index", "value"]
 _HEADER_BYTES = (",".join(HEADER) + "\n").encode()
-_CHUNK_ROWS = 1 << 16  # rows the writer renders at a time, which bounds its temporary arrays
+# Rows the writer renders at a time, which bounds its temporary arrays: about
+# 3 MiB traced for a file of 20 or 100 paths of 2000 values.
+_CHUNK_ROWS = 1 << 13
 _POW10 = np.array([float(10**s) for s in range(24)])  # exact up to 10**22
 _INT10 = 10 ** np.arange(19, dtype=np.int64)
 _BYTES_BELOW = np.array([(1 << 8 * b) - 1 for b in range(9)], np.uint64)  # mask of the low b bytes

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import gamma as gamma_vec
 
-from covclust.dissimilarity import default_mn, default_weights, log_star
+from covclust.dissimilarity import DissimConfig, default_mn, default_weights, log_star
 from covclust.hurst import HurstDomainError
 from covclust.offline import Clustering
 from covclust.processes import SamplePath, d_factor
@@ -159,6 +159,29 @@ def pairwise_dissimilarity_matrix(paths, cfg):
                     sq = sq + (pa - pb) ** 2
                 per_window = per_window + np.sqrt(sq) @ w
             out[i, j] = out[j, i] = float(np.sum(per_window)) / L
+    return out
+
+
+def log_variance_dissimilarity_matrix(paths, cfg=DissimConfig()):
+    """The log-variance baseline: for each ordered pair, the mean over the pair's
+    L windows of |ln v_1(s) - ln v_2(s)|, v(s) the mean squared increment of window s.
+
+    (K, L) are cfg.windows of the pair's shorter path, and window s (1-based)
+    holds the K + 1 increments of samples s..s+K+1, as in D. ln v(s) is
+    2H(t) ln(delta) plus a constant, the local quadratic-variation estimate of
+    H(t), so this is the yardstick D's covariance windows must beat. Every
+    entry, the diagonal and both orders of each pair included, is computed
+    on its own.
+    """
+    out = np.zeros((len(paths), len(paths)))
+    for i, a in enumerate(paths):
+        for j, b in enumerate(paths):
+            K, L = cfg.windows(min(len(a), len(b)))
+            total = 0.0
+            for s in range(1, L + 1):
+                v1, v2 = (float(np.mean(np.diff(p.values[s - 1 : s + K + 1]) ** 2)) for p in (a, b))
+                total += abs(math.log(v1) - math.log(v2))
+            out[i, j] = total / L
     return out
 
 

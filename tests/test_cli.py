@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,7 @@ from covclust import (
     evaluation,
     misclassification_rate,
     processes,
+    seriesio,
 )
 from covclust.evaluation import simulate_pool
 from covclust.cli import _CONFIG_KEYS, main
@@ -249,8 +254,24 @@ def test_read_series_matches_rowwise_reader_across_chunks(tmp_path):
         assert (_read_columns(g, False) is not None) == (name == "as-written"), name
 
 
+def test_writer_memory_does_not_grow_with_the_rows(tmp_path):
+    # the writer renders 8192 rows at a time: 100 paths of 2000 values take
+    # no more than 20 of them
+    rng = np.random.default_rng(3)
+    paths = [SamplePath(f"path{i}", rng.standard_normal(2000)) for i in range(100)]
+    peaks = []
+    for count in (20, 100):
+        tracemalloc.start()
+        try:
+            write_series(paths[:count], tmp_path / f"{count}.csv")
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
+
+
 def test_long_ids_write_and_read_as_rowwise(tmp_path):
-    # 8000-byte ids make rows wide, so the writer takes a few hundred rows at a
+    # 8000-byte ids make rows wide, so the writer takes a few dozen rows at a
     # time, its chunks cross the paths and its memory stays near one chunk
     rng = np.random.default_rng(5)
     paths = [SamplePath(c * 8000, rng.standard_normal(300)) for c in "abc"]
@@ -402,6 +423,51 @@ def test_simulate_rejects_an_n_too_large_to_address(tmp_path, capsys, n):
     assert len(err) == 1 and err[0].startswith(f"error: config: --n {n} is too large")
     assert peak < 2**20
     assert not out.exists()
+
+
+@pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="needs Linux's statm")
+def test_simulate_n_too_large_for_memory_fails_at_its_covariance(tmp_path):
+    # --n 10**9 passes the np.intp check (8 n^2 < 2**63), but no machine holds
+    # its covariance. That is allocated first, so the command fails there with
+    # nothing else made. A time grid made first would take 16 GB: the child's
+    # address space is capped 512 MiB above what its imports mapped, so such a
+    # regression fails fast, at an array of n values.
+    script = (
+        "import resource, sys\n"
+        "from covclust import cli\n"
+        "with open('/proc/self/statm') as fh:\n"
+        "    mapped = int(fh.read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (mapped + 2**29, hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = tmp_path / "x.csv"
+    done = subprocess.run([sys.executable, "-c", script, "simulate", "--hurst", "constant:0.5",
+                           "--n", str(10**9), "--output", str(out)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    err = done.stderr.splitlines()
+    assert done.returncode == 5, done.stderr
+    assert len(err) == 1 and err[0].startswith("error: infeasible: ")
+    assert "shape (1000000000, 1000000000)" in err[0]
+    assert not out.exists()
+
+
+def test_simulate_bytes_do_not_depend_on_block_or_chunk_rows(tmp_path, monkeypatch):
+    # the covariance rows in flight and the writer's rows per chunk bound their
+    # memory only: each entry and each row is made the same way at any size
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: 2)
+    written = []
+    for block, chunk in [(1, 65536), (7, 3), (64, 8192), (256, 1)]:
+        monkeypatch.setattr(processes, "_COV_BLOCK", block)
+        monkeypatch.setattr(seriesio, "_CHUNK_ROWS", chunk)
+        processes._FACTORS.clear()
+        out = tmp_path / f"{block}-{chunk}.csv"
+        assert run(["simulate", "--hurst", "sin:0.3,1.0", "--n", 300, "--paths", 3,
+                    "--delta-t", "0.003", "--seed", 7, "--output", out]) == 0
+        written.append(out.read_bytes())
+    assert written[1:] == written[:1] * 3
 
 
 def test_simulate_memory_error_is_one_infeasible_line(tmp_path, capsys, monkeypatch):

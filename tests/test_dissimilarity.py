@@ -18,6 +18,7 @@ from covclust import (
     default_weights,
     dissimilarity_matrix,
     log_star,
+    offline_cluster,
     sample_path,
 )
 from covclust import dissimilarity
@@ -25,6 +26,7 @@ from covclust.dissimilarity import InfeasibleError, _features, _lag_means, _wind
 
 from naive_oracles import (
     fullstorage_dissimilarity_matrix,
+    log_variance_dissimilarity_matrix,
     masked_log_star,
     naive_d_hat,
     naive_hurst,
@@ -648,3 +650,21 @@ def test_d_star_hat_triangle_inequality(seed):
     n = int(rng.integers(5, 25))
     a, b, c = (SamplePath(s, rng.standard_normal(n)) for s in "abc")
     assert d_star_hat(a, c) <= d_star_hat(a, b) + d_star_hat(b, c) + 1e-9
+
+
+def test_log_variance_baseline_is_a_metric_on_planted_paths():
+    # two equal-length paths per Hurst level: every pair shares its windows, so
+    # the baseline is an L1 distance between the paths' ln v(s) profiles
+    n = 120
+    paths = [sample_path(HurstFunction.constant(h), n, 1.0 / n, seed=(7, k))
+             for h in (0.3, 0.5, 0.7) for k in range(2)]
+    N = len(paths)
+    D = log_variance_dissimilarity_matrix(paths)
+    assert (np.diag(D) == 0.0).all()
+    assert D.tobytes() == D.T.copy().tobytes()
+    assert (D[~np.eye(N, dtype=bool)] > 0).all()
+    slack = 1e-12 * D.max()  # each |ln v_1 - ln v_2| and the mean round once
+    for i, j, k in np.ndindex(N, N, N):
+        assert D[i, k] <= D[i, j] + D[j, k] + slack
+    assert offline_cluster(D, 3).as_partition() == {frozenset({0, 1}), frozenset({2, 3}),
+                                                    frozenset({4, 5})}

@@ -1,5 +1,6 @@
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,9 +110,10 @@ def test_build_cov_matrix_bitwise_matches_dense(n, kind):
 
 @pytest.mark.parametrize("n", [600, 2000])
 def test_build_cov_matrix_same_bytes_for_any_worker_count(monkeypatch, n):
-    # 1 CPU builds serially in 256-row blocks; more CPUs give as many threads
-    # (at most one per 256 rows), each with its fixed blocks. At n = 2000, 8
-    # threads take 63 blocks of 32 rows, so the last run of 2w = 16 has 15.
+    # 1 CPU builds serially in 64-row blocks; more CPUs give as many threads
+    # (at most one per 256 rows), each with its fixed blocks of 64 // w rows. At
+    # n = 2000, 8 threads take 250 blocks of 8 rows, so the last run of 2w = 16
+    # has 10.
     f = HurstFunction.periodic(0.3, 1.0)
     times = np.arange(1, n + 1) / n
     threads = threading.active_count()
@@ -129,11 +131,29 @@ def test_build_cov_matrix_same_bytes_for_any_worker_count(monkeypatch, n):
 def test_build_cov_matrix_diagonal_squares_are_exactly_symmetric(monkeypatch, n, kind, cpus):
     # each block writes its diagonal square as evaluated, unmirrored; the
     # square's two halves agree only because every operation of an entry is
-    # symmetric in (i, j). 1 and 2 CPUs give squares of 256 and 128 rows.
+    # symmetric in (i, j). 1 and 2 CPUs give squares of 64 and 32 rows.
     monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
     f = BLOCKED_BUILD_PROFILES[kind](n)
     cov = build_cov_matrix(f, np.arange(1, n + 1) / n)
     assert cov.tobytes() == cov.T.copy().tobytes()
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 8])
+def test_build_cov_matrix_memory_is_the_matrix_and_its_workspace(monkeypatch, cpus):
+    # beside the 8 n^2-byte matrix the build holds 3 x _COV_BLOCK x n floats of
+    # row buffers, over all its threads, and each thread's _gamma chunk buffers
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+    n = 2000
+    workspace = 8 * (3 * processes._COV_BLOCK * n + cpus * 5 * _GAMMA_CHUNK)
+    f = HurstFunction.periodic(0.3, 1.0)
+    times = np.arange(1, n + 1) / n
+    tracemalloc.start()
+    try:
+        build_cov_matrix(f, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * n**2 + workspace + 2**20
 
 
 def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
