@@ -24,9 +24,10 @@ n x n array rather than three. Where that library cannot be bound,
 numpy.linalg.cholesky factors a copy, with the same bytes at the old peak.
 
 Factors are cached, least recently used first out, within _FACTOR_BYTES. On a
-miss the covariance is built first, then old factors are evicted until the new
-one fits, and only then is the covariance factored: a failed build evicts
-nothing, and a new factor is never held beside the factors it displaces.
+miss old factors are evicted until the new one's 8 n^2 bytes fit, and only
+then is the covariance built and factored, so a new covariance is never held
+beside the factors it displaces. A build that fails after an eviction costs a
+later re-factorization of what it evicted.
 """
 
 from __future__ import annotations
@@ -124,7 +125,8 @@ def d_factor(t: float, s: float) -> float:
     return value
 
 
-def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _gamma(x: np.ndarray, out: np.ndarray | None = None,
+           work: np.ndarray | None = None) -> np.ndarray:
     """Gamma on [1, 3], bit for bit as scipy.special.gamma computes it there.
 
     A numpy port of cephes' `Gamma`, the routine behind scipy.special.gamma,
@@ -140,8 +142,10 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     z = x); at 3 itself that changes no bit, so it is left out.
 
     The work runs in chunks of _GAMMA_CHUNK elements with in-place ufuncs on
-    preallocated buffers. A chunk is read before its result is written, so
-    `out` (C-contiguous, shaped like x) may be x itself. The
+    five buffers: the rows of `work`, a 5 x m array with
+    m >= min(x.size, _GAMMA_CHUNK), or new ones when `work` is None. A chunk
+    is read before its result is written, so `out` (C-contiguous, shaped like
+    x) may be x itself. The
     `test_gamma_matches_scipy_bitwise_*` tests in tests/test_processes.py pin
     it to scipy byte for byte.
     """
@@ -150,7 +154,7 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty_like(x)
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
     size = min(flat_x.size, _GAMMA_CHUNK)
-    y, z, p, q, low = (np.empty(size) for _ in range(5))
+    y, z, p, q, low = np.empty((5, size)) if work is None else work[:, :size]
     for start in range(0, flat_x.size, _GAMMA_CHUNK):
         xs = flat_x[start : start + _GAMMA_CHUNK]
         k = xs.size
@@ -209,10 +213,11 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     without a shared queue. The threads run numpy ufuncs, which release the
     interpreter lock; at w = 1 no thread is started. Each thread evaluates
     the terms of its blocks into its own workspace of 3 x (_COV_BLOCK // w) x
-    n floats, all allocated by the calling thread, and sums the bracket in the
-    block's own rows of the matrix; so the build holds about
-    3 x _COV_BLOCK x n floats (3 MB at n = 2000) whatever the CPU count,
-    besides the 5 x _GAMMA_CHUNK floats that each `_gamma` call takes. The
+    n floats and 5 x _GAMMA_CHUNK floats for its `_gamma` calls, all
+    allocated by the calling thread, and sums the bracket in the block's own
+    rows of the matrix; so the build holds about 3 x _COV_BLOCK x n floats
+    (3 MB at n = 2000) whatever the CPU count, besides the 5 x _GAMMA_CHUNK
+    floats (640 KB) of each thread. The
     block of rows [r0, r1) writes only rows [r0, r1) from column r0 on and
     columns [r0, r1) from row r1 on, so no two blocks write the same entry.
     Every entry takes the same ufuncs on the same operands in any block, so
@@ -240,7 +245,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     workers = min(_usable_cpus(), -(-n // _THREAD_ROWS))
     step = max(1, _COV_BLOCK // workers)
 
-    def fill(r0: int, work: np.ndarray) -> None:
+    def fill(r0: int, work: np.ndarray, gamma_work: np.ndarray) -> None:
         # d * (|t_j|^a + |t_i|^a - |t_j - t_i|^a) with d = sqrt(g_i g_j) /
         # (2 G(a + 1) sin(pi a / 2)), ufunc by ufunc in evaluation order: the
         # terms of d in this thread's workspace, the bracket in the block's
@@ -252,7 +257,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         block = cov[rows, r0:]
         np.add(h[rows, None], h[None, cols], out=a)
         np.add(a, 1.0, out=den)
-        _gamma(den, out=den)
+        _gamma(den, out=den, work=gamma_work)
         np.multiply(2.0, den, out=den)
         np.multiply(np.pi, a, out=d)
         np.divide(d, 2.0, out=d)
@@ -274,11 +279,14 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
             raise FactorizationError("non-finite entry in covariance assembly")
         cov[r1:, rows] = block[:, r1 - r0 :].T
 
-    # Every thread's workspace is allocated here. What a helper allocates comes
-    # from its own glibc malloc arena, which stays resident after the helper
-    # exits: helpers that allocated their own temporaries raised the peak of
-    # `simulate --n 2000` by 11 MB from its second Hurst profile on.
-    work = np.empty((workers, 3, min(step, n) * n))
+    # Every thread's workspace, its `_gamma` buffers included, is allocated
+    # here. What a helper allocates comes from its own glibc malloc arena,
+    # which stays resident after the helper exits: helpers that allocated
+    # their own temporaries raised the peak of `simulate --n 2000` by 11 MB
+    # from its second Hurst profile on.
+    size = min(step, n) * n
+    work = np.empty((workers, 3, size))
+    gamma_work = np.empty((workers, 5, min(size, _GAMMA_CHUNK)))
     errors = []
 
     @np.errstate(all="ignore")  # per call: a new thread starts with numpy's defaults
@@ -286,7 +294,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         try:
             for b, r0 in enumerate(range(0, n, step)):
                 if b % (2 * workers) in (k, 2 * workers - 1 - k):
-                    fill(r0, work[k])
+                    fill(r0, work[k], gamma_work[k])
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -421,33 +429,35 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     )
 
 
-# Bytes of factors kept by `_factor`. A factor takes 8 n^2 bytes. The budget
+# Bytes of factors kept by `_factor`. A factor takes 8 n^2 bytes, which are
+# made room for before its covariance is built. The budget
 # holds the largest experiment working set, 10 factors at n = 305 (7.4 MB: the
 # 5 mono and 5 sin groups of an offline run at full path length); two factors
 # at n = 1600 (41.0 MB), so draws alternating between two Hurst values factor
 # each once; and one at n = 2000 (32.0 MB), shared by the draws of a `simulate`.
-# Two n = 2000 factors do not fit, so a new Hurst profile displaces the last
-# one rather than staying resident. A factor larger than the budget is kept alone.
+# Two n = 2000 factors do not fit, so a new Hurst profile evicts the last one
+# before it builds its own covariance, and the two are never resident together.
+# A factor larger than the budget is kept alone.
 _FACTOR_BYTES = 48 * 2**20
 # Factors keyed by kind and generation arguments, least recently used first;
 # safe because HurstFunction is frozen/hashable and factors are never written to.
 _FACTORS: OrderedDict = OrderedDict()
 
 
-def _factor(key: tuple, build_cov) -> np.ndarray:
-    """Cached Cholesky factor of build_cov(), in the array build_cov() returns.
+def _factor(key: tuple, n: int, build_cov) -> np.ndarray:
+    """Cached Cholesky factor of build_cov(), an n x n covariance, in the array it returns.
 
-    Old factors are evicted between the build and the factoring.
+    Old factors are evicted until the new one's 8 n^2 bytes fit, before the
+    build: a new covariance is never held beside the factors it displaces.
     """
     factor = _FACTORS.get(key)
     if factor is not None:
         _FACTORS.move_to_end(key)
         return factor
-    cov = build_cov()
     held = sum(f.nbytes for f in _FACTORS.values())
-    while _FACTORS and held + cov.nbytes > _FACTOR_BYTES:
+    while _FACTORS and held + 8 * n * n > _FACTOR_BYTES:
         held -= _FACTORS.popitem(last=False)[1].nbytes
-    factor = _FACTORS[key] = cholesky_with_jitter(cov)
+    factor = _FACTORS[key] = cholesky_with_jitter(build_cov())
     return factor
 
 
@@ -470,11 +480,12 @@ class _Grid:
 
 
 def _mbm_factor(f: HurstFunction, n: int, delta_t: float) -> np.ndarray:
-    return _factor(("mbm", f, n, delta_t), lambda: build_cov_matrix(f, _Grid(n, delta_t)))
+    return _factor(("mbm", f, n, delta_t), n, lambda: build_cov_matrix(f, _Grid(n, delta_t)))
 
 
 def _fgn_factor(h: float, n: int, delta: float) -> np.ndarray:
-    return _factor(("fgn", h, n, delta), lambda: fbm_increment_cov_matrix(h, 1.0, n, delta))
+    return _factor(("fgn", h, n, delta), n,
+                   lambda: fbm_increment_cov_matrix(h, 1.0, n, delta))
 
 
 def sample_path(f: HurstFunction, n: int, delta_t: float, seed, id: str | None = None) -> SamplePath:

@@ -22,11 +22,13 @@ time. The bytes equal one `'%.17g'` per value.
 
 Files are read in bulk only in the layout `write_series` writes: no quotes,
 CR, NUL or 0x1c-0x1f bytes, ASCII t_index and value fields, each series one
-contiguous run of rows, and a newline after every row. The ids are split and
-compared in numpy, and one `np.loadtxt` call reads t_index and value. It
-converts a value with `PyOS_string_to_double`, the correctly rounded routine
-behind `float()`, so each value is bit-equal to `float()` of its field, and
-a t_index as `int()` reads it. It refuses some text that those accept, such
+contiguous run of rows, and a newline after every row. The file is read once
+into a buffer, whose ids are split and compared in numpy a slice of rows at a
+time; the buffer is released, and one `np.loadtxt` call reads t_index and
+value, so a bulk read holds about the file's size. `np.loadtxt` converts a
+value with `PyOS_string_to_double`, the correctly rounded routine behind
+`float()`, so each value is bit-equal to `float()` of its field, and a
+t_index as `int()` reads it. It refuses some text that those accept, such
 as underscores and integers beyond int64. Each row's t_index must then equal
 its place in its run ("0", "00" and "+0" all do). The excluded bytes are
 those numpy reads otherwise than Python: it takes 0x1c-0x1f for spaces, and
@@ -43,6 +45,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -263,75 +266,28 @@ def _read_columns(source: Path, ragged_ok: bool):
     """The paths of a valid file in the writer's layout, or None if it is in
     another layout or any check would fail.
 
-    The ids are compared as bytes; t_index and value are read by one
-    `np.loadtxt` call, whose fields convert as `int()` and `float()` convert
-    them, or raise a ValueError, which also means None.
+    The ids are compared as bytes by `_runs`; t_index and value are read by
+    one `np.loadtxt` call, whose fields convert as `int()` and `float()`
+    convert them, or raise a ValueError, which also means None. The file's
+    bytes are released before that call.
     """
-    with source.open("rb") as fh:
-        data = fh.read()
-    h = len(_HEADER_BYTES)
-    if len(data) <= h or not data.startswith(_HEADER_BYTES):
+    runs = _runs(source)
+    if runs is None:
         return None
-    # and no 0x1c-0x1f, which numpy's parser reads as spaces where int() and float() refuse them
-    if any(c in data for c in (b'"', b"\r", b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-        return None
-    body = np.frombuffer(data, np.uint8, offset=h)
-    if body[-1] != 10:
-        return None  # the writer ends every row with a newline
-    ends = np.flatnonzero(body == 10)
-    commas = np.flatnonzero(body == 44)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # two commas in each line and none elsewhere: each csv row is one line split at its commas
-    if len(commas) != 2 * len(ends):
-        return None
-    c1, c2 = commas[0::2], commas[1::2]
-    if not ((c1 >= starts).all() and (c2 < ends).all()):
-        return None
-    id_size = c1 - starts
-    if max(id_size.max(), (c2 - c1).max() - 1, (ends - c2).max() - 1) > csv.field_size_limit():
-        return None  # csv refuses a field this long
-    # 8 bytes from any offset of the body, zeros past its end
-    pad = np.zeros(len(body) + 8, np.uint8)
-    pad[:-8] = body
-    words = np.ndarray((len(pad) - 7,), "<u8", pad, strides=(1,))
-
-    # a row's id equals the id of the row before: its first 8 bytes, then 8 at a
-    # time for the pairs (row i, row i + 1) still equal with id bytes left, so no
-    # word is read past an id's end
-    w = words[starts]
-    same = (id_size[1:] == id_size[:-1]) & (
-        ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.minimum(id_size[1:], 8)]) == 0)
-    pair, q = np.flatnonzero(same & (id_size[1:] > 8)), 8
-    while pair.size:
-        left = id_size[pair] - q
-        w = words[starts[pair] + q] ^ words[starts[pair + 1] + q]
-        differ = (w & _BYTES_BELOW[np.minimum(left, 8)]) != 0
-        same[pair[differ]] = False
-        pair, q = pair[~differ & (left > 8)], q + 8
-    first = np.flatnonzero(np.concatenate(([True], ~same)))
-    counts = np.diff(np.append(first, len(ends)))
-    if counts.min() < 2:
-        return None
-    try:
-        ids = [data[h + a : h + b].decode("utf-8")
-               for a, b in zip(starts[first].tolist(), c1[first].tolist())]
-    except UnicodeDecodeError:
-        return None
-    if len(set(ids)) < len(ids):
-        return None  # a series in more than one run
-
-    # numpy's int parser reads some non-ASCII characters as digits (U+01FE as 462),
-    # so t_index and value must be ASCII
-    wide = np.flatnonzero(body > 127)
-    if (wide > c1[np.searchsorted(ends, wide)]).any():
-        return None
+    ids, first, counts = runs
     try:
         columns = np.loadtxt(source, dtype=[("t", np.int64), ("value", float)], delimiter=",",
                              skiprows=1, usecols=(1, 2), comments=None, encoding="utf-8")
     except ValueError:
         return None
-    if not (columns["t"] == np.arange(len(ends)) - np.repeat(first, counts)).all():
-        return None  # a row out of its place in its run
+    if len(columns) != counts.sum():
+        return None  # the file changed after the scan
+    t = columns["t"]
+    for lo in range(0, len(t), _CHUNK_ROWS):
+        row = np.arange(lo, min(lo + _CHUNK_ROWS, len(t)))
+        start = first[np.searchsorted(first, row, "right") - 1]  # of each row's run
+        if not (t[lo : lo + _CHUNK_ROWS] == row - start).all():
+            return None  # a row out of its place in its run
     values = np.ascontiguousarray(columns["value"])
     if not np.isfinite(values).all():
         return None
@@ -340,6 +296,94 @@ def _read_columns(source: Path, ragged_ok: bool):
     if len({len(p) for p in paths}) > 1 and not ragged_ok:
         return None
     return paths
+
+
+def _runs(source: Path):
+    """(ids, first, counts) of a file in the writer's layout, or None if a check fails:
+    the id, first row and row count of each run of rows with one id.
+
+    The file is read once, into a buffer with 8 zero bytes past its end, and
+    scanned a slice of whole rows at a time: at most _CHUNK_ROWS x 64 bytes,
+    or one row that is longer. So the scan holds the file's bytes and the
+    arrays of one slice.
+    """
+    with source.open("rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        data = bytearray(size + 8)  # the zeros past the end are read by the id compare's last word
+        if fh.readinto(memoryview(data)[:size]) != size:
+            return None  # the file shrank while it was read
+    h = len(_HEADER_BYTES)
+    if size <= h or not data.startswith(_HEADER_BYTES) or data[size - 1] != 10:
+        return None  # the writer ends every row with a newline
+    # and no 0x1c-0x1f, which numpy's parser reads as spaces where int() and float() refuse them
+    if any(data.find(c, 0, size) >= 0 for c in b'"\r\0\x1c\x1d\x1e\x1f'):
+        return None
+    text = np.frombuffer(data, np.uint8)
+    words = np.ndarray((size + 1,), "<u8", data, strides=(1,))  # 8 bytes from any offset
+    limit = csv.field_size_limit()
+    all_ascii = data.isascii()
+    first, heads = [], []  # the first row of each run, and where its id starts and ends
+    rows, lo = 0, h
+    last = (h, -1)  # stands for the row before the first: no id is -1 bytes long
+    while lo < size:
+        hi = data.rfind(b"\n", lo, lo + _CHUNK_ROWS * 64)
+        if hi < 0:  # one row longer than that
+            hi = data.find(b"\n", lo)
+        hi += 1
+        chunk = text[lo:hi]
+        ends = np.flatnonzero(chunk == 10) + lo
+        commas = np.flatnonzero(chunk == 44) + lo
+        # two commas in each line and none elsewhere: each csv row is one line split at its commas
+        if len(commas) != 2 * len(ends):
+            return None
+        # where the rows start: the row before the slice, then the slice's own
+        at = np.concatenate(((last[0], lo), ends[:-1] + 1))
+        starts = at[1:]
+        c1, c2 = commas[0::2], commas[1::2]
+        if not ((c1 >= starts).all() and (c2 < ends).all()):
+            return None
+        size_at = np.concatenate(((last[1],), c1 - starts))
+        id_size = size_at[1:]
+        if max(id_size.max(), (c2 - c1).max() - 1, (ends - c2).max() - 1) > limit:
+            return None  # csv refuses a field this long
+        # numpy's int parser reads some non-ASCII characters as digits (U+01FE as 462),
+        # so t_index and value must be ASCII
+        if not all_ascii:
+            wide = np.flatnonzero(chunk > 127) + lo
+            if (wide > c1[np.searchsorted(ends, wide)]).any():
+                return None
+
+        # a row's id equals the id of the row before (for the slice's first row,
+        # the last row of the slice before): its first 8 bytes, then 8 at a time
+        # for the pairs still equal with id bytes left, so no word is read past
+        # an id's end
+        w = words[at]
+        same = (id_size == size_at[:-1]) & (
+            ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.minimum(id_size, 8)]) == 0)
+        pair, q = np.flatnonzero(same & (id_size > 8)), 8
+        while pair.size:
+            left = size_at[pair] - q
+            w = words[at[pair] + q] ^ words[at[pair + 1] + q]
+            differ = (w & _BYTES_BELOW[np.minimum(left, 8)]) != 0
+            same[pair[differ]] = False
+            pair, q = pair[~differ & (left > 8)], q + 8
+        new = np.flatnonzero(~same)
+        first.append(rows + new)
+        heads += zip(starts[new].tolist(), c1[new].tolist())
+        rows += len(ends)
+        last = (starts[-1], id_size[-1])
+        lo = hi
+    first = np.concatenate(first)
+    counts = np.diff(np.append(first, rows))
+    if counts.min() < 2:
+        return None
+    try:
+        ids = [data[a:b].decode("utf-8") for a, b in heads]
+    except UnicodeDecodeError:
+        return None
+    if len(set(ids)) < len(ids):
+        return None  # a series in more than one run
+    return ids, first, counts
 
 
 def _csv_rows(fh, source: Path):

@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tracemalloc
@@ -289,6 +291,48 @@ def test_long_ids_write_and_read_as_rowwise(tmp_path):
     assert got == [(p.id, p.values.tobytes()) for p in paths]
 
 
+def test_bulk_read_in_slices_of_one_row(tmp_path, monkeypatch):
+    # slices of at most 64 bytes: nearly every row starts a slice of its own and
+    # a row longer than that is one slice, so the id runs, the field checks and
+    # the index checks all cross slices; reads and the bulk path's choice stay
+    rng = np.random.default_rng(3)
+    f = tmp_path / "long.csv"
+    ids = ["s" * 70, "s" * 69 + "t", "s0", "é"]
+    write_series([SamplePath(sid, rng.standard_normal(300)) for sid in ids], f)
+    cases = [(param.values[0], param.values[1]) for param in READ_CORPUS]
+    cases += [(f.read_text(), False), (f.read_text().replace(",1,", ",2,", 1), False)]
+    files, expected = [], []
+    for k, (text, ragged_ok) in enumerate(cases):
+        files.append(tmp_path / f"{k}.csv")
+        files[-1].write_bytes(text.encode("utf-8", "surrogateescape"))
+        expected.append((_read_columns(files[-1], ragged_ok) is not None,
+                         _read_outcome(rowwise_read_series, files[-1], ragged_ok)))
+    monkeypatch.setattr(seriesio, "_CHUNK_ROWS", 1)
+    for g, (text, ragged_ok), (bulk, outcome) in zip(files, cases, expected):
+        assert (_read_columns(g, ragged_ok) is not None) == bulk, text[:40]
+        assert _read_outcome(read_series, g, ragged_ok) == outcome, text[:40]
+    assert expected[-2][0] and not expected[-1][0]
+
+
+def test_bulk_read_holds_about_the_file(tmp_path, monkeypatch):
+    # 100 x 2000 values, 6.6 MB of text: the bulk read holds the file's bytes
+    # and one slice of rows' arrays, then np.loadtxt's columns, never several
+    # whole-file arrays at once
+    rng = np.random.default_rng(6)
+    f = tmp_path / "big.csv"
+    write_series([SamplePath(f"path-{i}", rng.standard_normal(2000)) for i in range(100)], f)
+    expected = _read_outcome(rowwise_read_series, f, False)
+    monkeypatch.setattr(seriesio, "_read_checked", lambda *args: pytest.fail("read row by row"))
+    tracemalloc.start()
+    try:
+        got = read_series(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20
+    assert [(p.id, p.values.tobytes()) for p in got] == expected
+
+
 SERIES_IDS = st.text(st.sampled_from(list(',"\n\r% ab_')), max_size=40)
 SERIES_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]),
                           st.floats(allow_nan=False, allow_infinity=False))
@@ -347,6 +391,39 @@ def test_simulate_after_eviction_writes_same_bytes(tmp_path, monkeypatch):
         assert len(processes._FACTORS) == 1
     assert outs[0].read_bytes() == outs[2].read_bytes()
     assert outs[0].read_bytes() != outs[1].read_bytes()
+
+
+# sha256 of `simulate --hurst sin:0.3,1.0 --n 100 --paths 3 --delta-t 0.01 --seed 7`,
+# the same on default and on one BLAS thread. numpy's AVX512_SKX power loop rounds
+# some |t|^a otherwise than its other loops, so each has its own digest. Measured
+# on x86-64 with numpy 2.4.6 and the OpenBLAS it ships, under default threads,
+# OPENBLAS_NUM_THREADS=1 and NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL
+# AVX512_SPR" (the avx512 digest needs none of those features disabled).
+SIMULATE_SHA256 = {
+    "avx512": "a3c0a48bc4415b7434f35e7f465a314c3c19dcd52853dec651e3f8946a36af8b",
+    "other": "f6dbc145ac82290b7ca47c2d605f9307b99da6f2a3e66acf2c06abeade566b49",
+}
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="the digests were measured on x86-64")
+def test_simulate_bytes_are_pinned(tmp_path, monkeypatch):
+    # the pinned file from an empty cache, and again after another profile
+    # has evicted its factor before building its own covariance
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 8 * 100**2)
+    digests = []
+    for hurst in ("sin:0.3,1.0", "sin:-0.3,1.0", "sin:0.3,1.0"):
+        out = tmp_path / "pin.csv"
+        assert run(["simulate", "--hurst", hurst, "--n", "100", "--paths", "3",
+                    "--delta-t", "0.01", "--seed", "7", "--output", out]) == 0
+        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+        assert len(processes._FACTORS) == 1
+    loop = "avx512" if __cpu_features__.get("AVX512_SKX") else "other"
+    assert digests[0] == digests[2] == SIMULATE_SHA256[loop]
+    assert digests[1] != digests[0]
 
 
 def test_simulate_row_count_and_round_trip(tmp_path):
@@ -475,7 +552,7 @@ def test_simulate_memory_error_is_one_infeasible_line(tmp_path, capsys, monkeypa
         raise MemoryError("Unable to allocate 29.8 GiB for an array with shape (63246, 63246)")
 
     processes.sample_path(HurstFunction.constant(0.5), 6, 1.0 / 6, seed=0)
-    cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
+    assert processes._FACTORS
     monkeypatch.setattr(processes, "build_cov_matrix", fail)
     out = tmp_path / "x.csv"
     code = run(["simulate", "--hurst", "constant:0.4", "--n", 63246, "--delta-t", "1e-5",
@@ -484,7 +561,8 @@ def test_simulate_memory_error_is_one_infeasible_line(tmp_path, capsys, monkeypa
     assert capsys.readouterr().err.splitlines() == [
         "error: infeasible: Unable to allocate 29.8 GiB for an array with shape (63246, 63246)"]
     assert not out.exists()
-    assert [(key, id(factor)) for key, factor in processes._FACTORS.items()] == cached
+    # a 32 GB factor fits beside no other, so every factor was evicted before the build
+    assert not processes._FACTORS
 
 
 def test_simulate_factorization_failure_is_numeric_error(tmp_path, capsys, monkeypatch):
@@ -507,6 +585,7 @@ def test_simulate_overflowing_covariance_is_one_numeric_line(tmp_path, capsys, m
     # the grid is finite but |t|^a overflows; on 2 CPUs a helper thread builds
     # blocks too, and it must neither warn nor leave a factor behind
     monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
+    processes._FACTORS.clear()  # room for the new factor, so nothing is evicted before its build
     processes.sample_path(HurstFunction.constant(0.5), 6, 1.0 / 6, seed=0)
     cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
     out = tmp_path / "x.csv"

@@ -166,8 +166,8 @@ def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
     cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
     real = processes._gamma
 
-    def nan_in_blocks(x, out=None):
-        out = real(x, out)
+    def nan_in_blocks(x, out=None, work=None):
+        out = real(x, out, work)
         helper = threading.current_thread() is not threading.main_thread()
         if out.ndim == 2 and (helper or out.shape[1] < n):
             out[-1, -1] = np.nan
@@ -498,7 +498,7 @@ def test_factor_caches_are_bounded(monkeypatch):
     assert calls == []
 
 
-def test_factor_eviction_happens_between_build_and_factoring(monkeypatch):
+def test_factor_eviction_happens_before_the_build(monkeypatch):
     # one n = 6 factor (288 bytes) fits the budget, two do not
     processes._FACTORS.clear()
     monkeypatch.setattr(processes, "_FACTOR_BYTES", 400)
@@ -513,12 +513,13 @@ def test_factor_eviction_happens_between_build_and_factoring(monkeypatch):
     factored = _record_factorizations(monkeypatch)
     sample_path(HurstFunction.periodic(0.3, 1.0), 6, 1.0 / 6, seed=0)
     sample_path(HurstFunction.periodic(-0.3, 1.0), 6, 1.0 / 6, seed=0)
-    assert built == [0, 288]
+    assert built == [0, 0]
     assert factored == [0, 0]
     assert _held_bytes() == 288
 
 
-def test_failed_covariance_build_evicts_nothing(monkeypatch):
+def test_failed_covariance_build_has_made_room(monkeypatch):
+    # the room for the new factor is made before its build, which then fails
     processes._FACTORS.clear()
     monkeypatch.setattr(processes, "_FACTOR_BYTES", 400)
     sample_path(HurstFunction.periodic(0.3, 1.0), 6, 1.0 / 6, seed=0)
@@ -529,7 +530,27 @@ def test_failed_covariance_build_evicts_nothing(monkeypatch):
     monkeypatch.setattr(processes, "build_cov_matrix", fail)
     with pytest.raises(ValueError):
         sample_path(HurstFunction.periodic(-0.3, 1.0), 6, 1.0 / 6, seed=0)
-    assert _held_bytes() == 288
+    assert _held_bytes() == 0
+
+
+def test_new_profile_holds_one_covariance_when_one_factor_fits(monkeypatch):
+    # the budget holds one factor: the second profile's covariance is built
+    # after the first factor is evicted, so the peak is one n x n array and
+    # the build's workspace, not two n x n arrays
+    monkeypatch.setattr(processes, "_usable_cpus", lambda: 1)
+    n = 600
+    processes._FACTORS.clear()
+    monkeypatch.setattr(processes, "_FACTOR_BYTES", 8 * n**2)
+    workspace = 8 * (3 * processes._COV_BLOCK * n + 5 * _GAMMA_CHUNK)
+    tracemalloc.start()
+    try:
+        for h in (0.3, -0.3):
+            sample_path(HurstFunction.periodic(h, 1.0), n, 1.0 / n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(processes._FACTORS) == [("mbm", HurstFunction.periodic(-0.3, 1.0), n, 1.0 / n)]
+    assert peak <= 8 * n**2 + workspace + 2**20
 
 
 def test_factor_over_budget_is_built_once(monkeypatch):
