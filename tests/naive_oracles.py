@@ -6,9 +6,8 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy.special import gamma as gamma_vec
 
-from covclust.dissimilarity import DissimConfig, default_mn, default_weights, log_star
+from covclust.dissimilarity import DissimConfig, default_mn, default_weights
 from covclust.hurst import HurstDomainError
 from covclust.offline import Clustering
 from covclust.processes import SamplePath, d_factor
@@ -25,19 +24,11 @@ def naive_nu(values, l, m):
     return acc / (n - m - l + 2)
 
 
-def naive_log_star(mat):
-    out = np.zeros_like(mat)
-    for idx in np.ndindex(mat.shape):
-        x = mat[idx]
-        if x > 0:
-            out[idx] = math.log(x)
-        elif x < 0:
-            out[idx] = -math.log(-x)
-    return out
-
-
 def masked_log_star(x, out=None):
-    """log* with masked ufunc passes: log where |x| != 0, then negation where x < 0."""
+    """log* with masked ufunc passes: log where |x| != 0, then negation where x < 0.
+
+    The only log* of the oracles; written into `out` when it is given, which may be x itself.
+    """
     a = np.array(x, dtype=float) if out is None else out
     neg = np.less(x, 0)
     np.abs(x, out=a)
@@ -56,20 +47,25 @@ def naive_d_hat(v1, v2, use_log_star=False):
             a = naive_nu(v1[:n], l, m)
             b = naive_nu(v2[:n], l, m)
             if use_log_star:
-                a = naive_log_star(a)
-                b = naive_log_star(b)
+                a = masked_log_star(a)
+                b = masked_log_star(b)
             w = (1.0 / (m * m * (m + 1) ** 2)) * (1.0 / (l * l * (l + 1) ** 2))
             total += w * np.linalg.norm(a - b)
     return total
 
 
-def _masked_log_star(arr):
-    out = np.zeros_like(arr)
-    pos = arr > 0
-    neg = arr < 0
-    out[pos] = np.log(arr[pos])
-    out[neg] = -np.log(-arr[neg])
-    return out
+def naive_d_star_hat(z1, z2, K, L, use_log_star=False, H1=None, H2=None):
+    """Mean of naive_d_hat over windows i = 1..L of the K+1 increments of samples i..i+K+1.
+
+    With H1 and H2, window i of a path z is divided by z.delta_t ** H(i * z.delta_t),
+    which makes it d_tilde_star.
+    """
+    def window(z, H, i):
+        x = np.diff(z.values[i - 1 : i + K + 1])
+        return x if H is None else x / z.delta_t ** H(i * z.delta_t)
+
+    return float(np.mean([naive_d_hat(window(z1, H1, i), window(z2, H2, i), use_log_star)
+                          for i in range(1, L + 1)]))
 
 
 def _single_path_features(x, n_w, L, cfg):
@@ -83,7 +79,7 @@ def _single_path_features(x, n_w, L, cfg):
         suffix = np.cumsum(per_window[..., ::-1], axis=-1)[..., ::-1]
         nu = np.moveaxis(suffix / np.arange(n_l, 0, -1, dtype=float), -1, 1)
         if cfg.use_log_star:
-            nu = _masked_log_star(nu)
+            nu = masked_log_star(nu)
         out.append(nu.reshape(L, n_l, m * m))
     return out
 
@@ -109,55 +105,6 @@ def fullstorage_dissimilarity_matrix(paths, cfg):
             for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
                 diff = a - b
                 per_window = per_window + np.sqrt(np.einsum("slk,slk->sl", diff, diff)) @ w
-            out[i, j] = out[j, i] = float(np.sum(per_window)) / L
-    return out
-
-
-def _single_path_planes(x, n_w, L, cfg):
-    """Per window size m: the (m(m+1)/2, L, n_w-m+1) feature planes of one path's windows.
-
-    One plane per upper-triangle entry (r, c) of nu, in np.triu_indices order,
-    built from its own products; off-diagonal planes are multiplied by sqrt(2)
-    after log*.
-    """
-    out = []
-    for m in range(1, default_mn(n_w) + 1):
-        n_l = n_w - m + 1
-        planes = []
-        for r, c in zip(*np.triu_indices(m)):
-            products = x[r : r + n_w + L - m] * x[c : c + n_w + L - m]
-            per_window = np.lib.stride_tricks.sliding_window_view(products, n_l)
-            nu = np.cumsum(per_window[:, ::-1], axis=1)[:, ::-1] / np.arange(n_l, 0, -1, dtype=float)
-            if cfg.use_log_star:
-                nu = _masked_log_star(nu)
-            planes.append(nu if r == c else nu * math.sqrt(2.0))
-        out.append(planes)
-    return out
-
-
-def pairwise_dissimilarity_matrix(paths, cfg):
-    """D from upper-triangle feature planes, one path's features and one pair at a time.
-
-    Each pair's squared plane differences are added one plane after another,
-    in np.triu_indices order.
-    """
-    n_paths = len(paths)
-    features = {}
-    out = np.zeros((n_paths, n_paths))
-    for i in range(n_paths):
-        for j in range(i + 1, n_paths):
-            K, L = cfg.windows(min(len(paths[i]), len(paths[j])))
-            for k in (i, j):
-                if (k, K, L) not in features:
-                    features[k, K, L] = _single_path_planes(np.diff(paths[k].values), K + 1, L, cfg)
-            weights = [float(default_weights(m)) * default_weights(np.arange(1, K - m + 3))
-                       for m in range(1, default_mn(K + 1) + 1)]
-            per_window = 0.0
-            for a, b, w in zip(features[i, K, L], features[j, K, L], weights):
-                sq = (a[0] - b[0]) ** 2
-                for pa, pb in zip(a[1:], b[1:]):
-                    sq = sq + (pa - pb) ** 2
-                per_window = per_window + np.sqrt(sq) @ w
             out[i, j] = out[j, i] = float(np.sum(per_window)) / L
     return out
 
@@ -305,6 +252,8 @@ def fbm_increment_cov(h, var1, i, j, delta):
 
 def dense_cov_matrix(f, times):
     """The mBm covariance as one dense n x n expression, mirrored from its upper triangle."""
+    from scipy.special import gamma as gamma_vec  # here, so that importing the oracles loads no scipy
+
     times = np.asarray(times, dtype=float)
     h = f.values_on(times)
     g = gamma_vec(2.0 * h + 1.0) * np.sin(np.pi * h)
@@ -430,7 +379,7 @@ def rowzero_features(x, n_w, L, cfg, scales=None):
             variances = nu[..., 0, :, :]
             variances[variances == 0] = 1.0
             np.log(variances, out=variances)
-            log_star(nu[..., 1:, :, :], out=nu[..., 1:, :, :])
+            masked_log_star(nu[..., 1:, :, :], out=nu[..., 1:, :, :])
         nu[..., 1:, :, :] *= math.sqrt(2.0)
         out.append(nu)
     return out

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from covclust import (
     DissimConfig,
@@ -29,9 +29,9 @@ from naive_oracles import (
     log_variance_dissimilarity_matrix,
     masked_log_star,
     naive_d_hat,
+    naive_d_star_hat,
     naive_hurst,
     naive_nu,
-    pairwise_dissimilarity_matrix,
     rowzero_d_star_hat,
     rowzero_dissimilarity_matrix,
     rowzero_pair,
@@ -303,11 +303,7 @@ def test_d_star_hat_window_average():
     z1 = SamplePath("a", rng.standard_normal(8))
     z2 = SamplePath("b", rng.standard_normal(8))
     cfg = DissimConfig(K=3, L=2)
-    expected = 0.5 * sum(
-        naive_d_hat(np.diff(z1.values[i - 1 : i + 4]), np.diff(z2.values[i - 1 : i + 4]))
-        for i in (1, 2)
-    )
-    assert d_star_hat(z1, z2, cfg) == pytest.approx(expected, rel=1e-12)
+    assert d_star_hat(z1, z2, cfg) == pytest.approx(naive_d_star_hat(z1, z2, 3, 2), rel=1e-12)
 
 
 def test_d_star_hat_matches_naive_at_realistic_size():
@@ -317,11 +313,7 @@ def test_d_star_hat_matches_naive_at_realistic_size():
     L = n - K - 1
     z1 = sample_path(HurstFunction.monotonic(-0.4, 1.0), n, 1.0 / n, seed=(31, 0))
     z2 = sample_path(HurstFunction.monotonic(0.4, 1.0), n, 1.0 / n, seed=(31, 1))
-    expected = np.mean([
-        naive_d_hat(np.diff(z1.values[i - 1 : i + K + 1]),
-                    np.diff(z2.values[i - 1 : i + K + 1]), use_log_star=True)
-        for i in range(1, L + 1)
-    ])
+    expected = naive_d_star_hat(z1, z2, K, L, use_log_star=True)
     got = d_star_hat(z1, z2, DissimConfig(K=K, L=L, use_log_star=True))
     assert got == pytest.approx(expected, rel=1e-12)
 
@@ -428,9 +420,8 @@ def test_d_tilde_star_scaling_oracle():
     H = HurstFunction.constant(0.5)
     z1 = SamplePath("a", rng.standard_normal(5), delta_t=0.5)
     z2 = SamplePath("b", rng.standard_normal(5), delta_t=0.5)
-    cfg = DissimConfig(K=2, L=1)
-    scale = 0.5 ** 0.5
-    expected = naive_d_hat(np.diff(z1.values[:4]) / scale, np.diff(z2.values[:4]) / scale)
+    cfg = DissimConfig(K=2, L=1)  # one window, scaled by 0.5 ** H(0.5) = 0.5 ** 0.5
+    expected = naive_d_star_hat(z1, z2, 2, 1, H1=H, H2=H)
     assert d_tilde_star(z1, z2, H, H, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -443,12 +434,7 @@ def test_d_tilde_star_per_window_scales(use_log_star):
     z1 = sample_path(H1, n, 1.0 / n, seed=(18, 0))
     z2 = sample_path(H2, n, 1.0 / n, seed=(18, 1))
     cfg = DissimConfig(K=K, L=L, use_log_star=use_log_star)
-    expected = np.mean([
-        naive_d_hat(np.diff(z1.values[i - 1 : i + K + 1]) / z1.delta_t ** H1(i * z1.delta_t),
-                    np.diff(z2.values[i - 1 : i + K + 1]) / z2.delta_t ** H2(i * z2.delta_t),
-                    use_log_star=use_log_star)
-        for i in range(1, L + 1)
-    ])
+    expected = naive_d_star_hat(z1, z2, K, L, use_log_star, H1, H2)
     assert d_tilde_star(z1, z2, H1, H2, cfg) == pytest.approx(expected, rel=1e-12)
 
 
@@ -525,7 +511,7 @@ def test_dissimilarity_matrix_counter_exact_on_ragged_paths(cfg):
     assert counter.rho == expected
 
 
-def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, scale=1.0):
+def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, scale=1.0, K=None):
     rng = np.random.default_rng(seed)
     paths = [SamplePath(f"p{i}", scale * rng.standard_normal(n)) for i, n in enumerate(lengths)]
     if flat:
@@ -536,7 +522,7 @@ def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, sca
     if duplicate:
         paths.insert(1, paths[-1])
     n_min = min(lengths)
-    K = int(rng.integers(1, n_min - 1)) if set_K else None
+    K = int(rng.integers(1, n_min - 1)) if set_K else K
     L = int(rng.integers(1, DissimConfig(K=K).windows(n_min)[1] + 1)) if set_L else None
     return paths, DissimConfig(K=K, L=L, use_log_star=use_log_star)
 
@@ -544,25 +530,6 @@ def _oracle_case(seed, lengths, set_K, set_L, use_log_star, duplicate, flat, sca
 _ORACLE_CASES = st.tuples(st.integers(0, 10_000),
                           st.lists(st.integers(5, 30), min_size=2, max_size=6),
                           st.booleans(), st.booleans(), st.booleans(), st.booleans(), st.booleans())
-
-
-@settings(max_examples=80, deadline=None)
-@given(_ORACLE_CASES)
-def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle(case):
-    paths, cfg = _oracle_case(*case)
-    D = dissimilarity_matrix(paths, cfg)
-    assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
-
-
-@pytest.mark.parametrize("use_log_star", [False, True])
-@pytest.mark.parametrize("n, K", [(80, 60), (200, 160)])
-def test_dissimilarity_matrix_bitwise_matches_pairwise_oracle_large_windows(n, K, use_log_star):
-    # m_n = 4 and 5, beyond the window sizes the hypothesis cases reach
-    assert default_mn(K + 1) == {60: 4, 160: 5}[K]
-    paths, _ = _oracle_case(26, (n, n, n - 3, n), False, False, use_log_star, True, True)
-    cfg = DissimConfig(K=K, use_log_star=use_log_star)
-    D = dissimilarity_matrix(paths, cfg)
-    assert D.tobytes() == pairwise_dissimilarity_matrix(paths, cfg).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -594,6 +561,15 @@ def _bytes(value):
 
 @settings(max_examples=80, deadline=None)
 @given(_ORACLE_CASES, st.sampled_from([False, True]))
+# m_n = 4 and 5 (K = 60 and 160), beyond the window sizes the generated cases reach
+@example((26, (80, 80, 77, 80), False, False, False, True, True, 1.0, 60), False)
+@example((26, (80, 80, 77, 80), False, False, True, True, True, 1.0, 60), True)
+@example((26, (200, 200, 197, 200), False, False, False, True, True, 1.0, 160), True)
+@example((26, (200, 200, 197, 200), False, False, True, True, True, 1.0, 160), False)
+# lag-0 differences below 2**-511, whose squares underflow: the m = 1 term must be |b - a|
+@example((5, (12, 12, 12), False, False, False, False, False, 2.0 ** -300), False)
+# K = 23, m_n = 3: the order of a row's three planes reaches the last bit of D
+@example((20, (30, 30, 28), True, False, False, False, False), False)
 def test_every_measure_bitwise_matches_rowzero_oracle(case, periodic):
     # the lag arrays, shared across window sizes, change no bit of any measure;
     # d_tilde_star's per-window scales (delta_t != 1) share nothing across windows

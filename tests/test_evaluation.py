@@ -120,7 +120,11 @@ runs = [
      "--output", d + "/s.csv"],
     ["ingest-check", "--input", d + "/s.csv"],
     ["cluster", "--input", d + "/s.csv", "--output", d + "/l.csv", "--kappa", "5"],
+    ["cluster", "--input", d + "/s.csv", "--output", d + "/o.csv", "--kappa", "5",
+     "--mode", "online"],
     ["experiment", "--case", "mono", "--seeds", "0", "--epochs", "5,20",
+     "--output", d + "/r.csv", "--summary", d + "/m.csv"],
+    ["experiment", "--mode", "online", "--seeds", "0", "--epochs", "1",
      "--output", d + "/r.csv", "--summary", d + "/m.csv"],
 ]
 for argv in runs:
