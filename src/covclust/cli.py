@@ -27,7 +27,7 @@ from .dissimilarity import DissimConfig, InfeasibleError, dissimilarity_matrix
 from .hurst import MONOTONIC, PERIODIC, HurstDomainError, HurstFunction
 from .offline import offline_cluster
 from .online import online_cluster
-from .processes import FactorizationError, sample_path
+from .processes import FactorizationError, cov_fits, sample_path
 from .seriesio import SchemaError, read_series, write_series
 
 OUTPUT_DIR_ENV = "COVCLUST_OUTPUT_DIR"
@@ -91,9 +91,11 @@ def _write_csv(path: Path, header, rows) -> None:
 def cmd_simulate(args) -> int:
     if args.paths < 1:
         raise CliError("config", f"--paths must be at least 1, got {args.paths}")
+    if args.seed < 0:
+        raise CliError("config", f"--seed must be at least 0, got {args.seed}")
     if args.n < 2:
         raise CliError("config", f"--n must be at least 2, got {args.n}")
-    if 8 * args.n**2 > np.iinfo(np.intp).max:  # the n x n covariance's bytes
+    if not cov_fits(args.n):
         raise CliError("config", f"--n {args.n} is too large: its n x n covariance would "
                                  f"take more bytes than this platform can address")
     if not 0 < args.delta_t * args.n < np.inf:  # the grid's last point

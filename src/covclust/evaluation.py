@@ -24,7 +24,7 @@ from .dissimilarity import DissimConfig, InfeasibleError, OpCounter, dissimilari
 from .hurst import HurstFunction
 from .offline import Clustering, offline_cluster
 from .online import online_cluster
-from .processes import sample_path
+from .processes import cov_fits, sample_path
 
 # Amplitude h of each group's Hurst profile, by case; one group per entry.
 GROUP_H_VALUES = {
@@ -117,7 +117,9 @@ class ExperimentConfig:
             ("epochs", self.epochs, _ints(self.epochs, 1), "a non-empty list of integers >= 1"),
             ("paths_per_group", self.paths_per_group, _ints([self.paths_per_group], 1),
              "an integer >= 1"),
-            ("path_length", self.path_length, _ints([self.path_length], 2), "an integer >= 2"),
+            ("path_length", self.path_length,
+             _ints([self.path_length], 2) and cov_fits(self.path_length),
+             "an integer >= 2 whose n x n covariance fits the address space"),
             ("log_star", self.log_star, isinstance(self.log_star, bool), "true or false"),
         ):
             if not ok:

@@ -71,8 +71,6 @@ _GAMMA_Q = (
     7.14304917030273074085e-2,
     1.00000000000000000320e0,
 )
-# Elements per chunk of `_gamma`; its work buffers (128 KB each) stay in cache.
-_GAMMA_CHUNK = 1 << 14
 
 
 class FactorizationError(np.linalg.LinAlgError):
@@ -125,9 +123,9 @@ def d_factor(t: float, s: float) -> float:
     return value
 
 
-def _gamma(x: np.ndarray, out: np.ndarray | None = None,
-           work: np.ndarray | None = None) -> np.ndarray:
-    """Gamma on [1, 3], bit for bit as scipy.special.gamma computes it there.
+def _gamma(x: np.ndarray, s1: np.ndarray | None = None,
+           s2: np.ndarray | None = None) -> np.ndarray:
+    """Gamma on [1, 3], written over x, bit for bit as scipy.special.gamma computes it there.
 
     A numpy port of cephes' `Gamma`, the routine behind scipy.special.gamma,
     limited to the arguments of `build_cov_matrix`: 2H + 1 and H_i + H_j + 1,
@@ -141,46 +139,38 @@ def _gamma(x: np.ndarray, out: np.ndarray | None = None,
     x == 2 needs no branch. Cephes steps x >= 3 down once (x -> x - 1,
     z = x); at 3 itself that changes no bit, so it is left out.
 
-    The work runs in chunks of _GAMMA_CHUNK elements with in-place ufuncs on
-    five buffers: the rows of `work`, a 5 x m array with
-    m >= min(x.size, _GAMMA_CHUNK), or new ones when `work` is None. A chunk
-    is read before its result is written, so `out` (C-contiguous, shaped like
-    x) may be x itself. The
+    x is a float array, and s1 and s2 are scratch arrays of its shape (new
+    ones when None); any of them may be a strided view. The
     `test_gamma_matches_scipy_bitwise_*` tests in tests/test_processes.py pin
     it to scipy byte for byte.
     """
-    x = np.ascontiguousarray(x, dtype=float)
-    if out is None:
-        out = np.empty_like(x)
-    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    size = min(flat_x.size, _GAMMA_CHUNK)
-    y, z, p, q, low = np.empty((5, size)) if work is None else work[:, :size]
-    for start in range(0, flat_x.size, _GAMMA_CHUNK):
-        xs = flat_x[start : start + _GAMMA_CHUNK]
-        k = xs.size
-        yk, zk, pk, qk, lk = y[:k], z[:k], p[:k], q[:k], low[:k]
-        # The 0/1 factor `low` selects exactly (x + 0.0 == x, 0.0 / x + 1.0 ==
-        # 1.0). Ufuncs and copies masked by x < 2, which splits these arguments
-        # about evenly, ran 10-30 times slower than these unmasked passes.
-        np.less(xs, 2.0, out=lk)
-        np.divide(lk, xs, out=zk)
-        np.subtract(1.0, lk, out=pk)
-        zk += pk
-        np.add(xs, lk, out=yk)
-        yk -= 2.0
-        np.multiply(yk, _GAMMA_P[0], out=pk)
-        for c in _GAMMA_P[1:-1]:
-            pk += c
-            pk *= yk
-        pk += _GAMMA_P[-1]
-        np.multiply(yk, _GAMMA_Q[0], out=qk)
-        for c in _GAMMA_Q[1:-1]:
-            qk += c
-            qk *= yk
-        qk += _GAMMA_Q[-1]
-        pk *= zk
-        np.divide(pk, qk, out=flat_out[start : start + k])
-    return out
+    low, y = (np.empty_like(x), np.empty_like(x)) if s1 is None else (s1, s2)
+    # The 0/1 factor `low` selects exactly (x + 0.0 == x, 0.0 / x + 1.0 ==
+    # 1.0). Ufuncs and copies masked by x < 2, which splits these arguments
+    # about evenly, ran 10-30 times slower than these unmasked passes.
+    np.less(x, 2.0, out=low)
+    np.add(x, low, out=y)
+    y -= 2.0
+    np.divide(low, x, out=x)
+    np.subtract(1.0, low, out=low)
+    x += low  # z = low / x + (1 - low)
+    p = np.multiply(y, _GAMMA_P[0], out=low)
+    for c in _GAMMA_P[1:-1]:
+        p += c
+        p *= y
+    p += _GAMMA_P[-1]
+    p *= x
+    q = np.multiply(y, _GAMMA_Q[0], out=x)
+    for c in _GAMMA_Q[1:-1]:
+        q += c
+        q *= y
+    q += _GAMMA_Q[-1]
+    return np.divide(p, q, out=x)
+
+
+def cov_fits(n: int) -> bool:
+    """Whether the n x n covariance's 8 n^2 bytes fit np.intp, so numpy can address it."""
+    return 8 * n * n <= np.iinfo(np.intp).max
 
 
 def _usable_cpus() -> int:
@@ -213,11 +203,10 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     without a shared queue. The threads run numpy ufuncs, which release the
     interpreter lock; at w = 1 no thread is started. Each thread evaluates
     the terms of its blocks into its own workspace of 3 x (_COV_BLOCK // w) x
-    n floats and 5 x _GAMMA_CHUNK floats for its `_gamma` calls, all
-    allocated by the calling thread, and sums the bracket in the block's own
-    rows of the matrix; so the build holds about 3 x _COV_BLOCK x n floats
-    (3 MB at n = 2000) whatever the CPU count, besides the 5 x _GAMMA_CHUNK
-    floats (640 KB) of each thread. The
+    n floats, allocated by the calling thread, and sums the bracket in the
+    block's own rows of the matrix; `_gamma` takes its scratch from the same
+    buffers and rows. So the build holds about 3 x _COV_BLOCK x n floats
+    (3 MB at n = 2000) whatever the CPU count. The
     block of rows [r0, r1) writes only rows [r0, r1) from column r0 on and
     columns [r0, r1) from row r1 on, so no two blocks write the same entry.
     Every entry takes the same ufuncs on the same operands in any block, so
@@ -245,11 +234,11 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
     workers = min(_usable_cpus(), -(-n // _THREAD_ROWS))
     step = max(1, _COV_BLOCK // workers)
 
-    def fill(r0: int, work: np.ndarray, gamma_work: np.ndarray) -> None:
+    def fill(r0: int, work: np.ndarray) -> None:
         # d * (|t_j|^a + |t_i|^a - |t_j - t_i|^a) with d = sqrt(g_i g_j) /
         # (2 G(a + 1) sin(pi a / 2)), ufunc by ufunc in evaluation order: the
         # terms of d in this thread's workspace, the bracket in the block's
-        # own rows of cov
+        # own rows of cov, which are Gamma's scratch until |t_j|^a is written
         r1 = min(r0 + step, n)
         rows, cols = slice(r0, r1), slice(r0, n)
         size, shape = (r1 - r0) * (n - r0), (r1 - r0, n - r0)
@@ -257,7 +246,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         block = cov[rows, r0:]
         np.add(h[rows, None], h[None, cols], out=a)
         np.add(a, 1.0, out=den)
-        _gamma(den, out=den, work=gamma_work)
+        _gamma(den, d, block)
         np.multiply(2.0, den, out=den)
         np.multiply(np.pi, a, out=d)
         np.divide(d, 2.0, out=d)
@@ -279,14 +268,12 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
             raise FactorizationError("non-finite entry in covariance assembly")
         cov[r1:, rows] = block[:, r1 - r0 :].T
 
-    # Every thread's workspace, its `_gamma` buffers included, is allocated
-    # here. What a helper allocates comes from its own glibc malloc arena,
-    # which stays resident after the helper exits: helpers that allocated
-    # their own temporaries raised the peak of `simulate --n 2000` by 11 MB
-    # from its second Hurst profile on.
+    # Every thread's workspace is allocated here. What a helper allocates
+    # comes from its own glibc malloc arena, which stays resident after the
+    # helper exits: helpers that allocated their own temporaries raised the
+    # peak of `simulate --n 2000` by 11 MB from its second Hurst profile on.
     size = min(step, n) * n
     work = np.empty((workers, 3, size))
-    gamma_work = np.empty((workers, 5, min(size, _GAMMA_CHUNK)))
     errors = []
 
     @np.errstate(all="ignore")  # per call: a new thread starts with numpy's defaults
@@ -294,7 +281,7 @@ def build_cov_matrix(f: HurstFunction, times) -> np.ndarray:
         try:
             for b, r0 in enumerate(range(0, n, step)):
                 if b % (2 * workers) in (k, 2 * workers - 1 - k):
-                    fill(r0, work[k], gamma_work[k])
+                    fill(r0, work[k])
         except BaseException as exc:  # raised again in the calling thread
             errors.append(exc)
 
@@ -348,17 +335,6 @@ def _bind_dpotrf():
 _DPOTRF = _bind_dpotrf()
 
 
-def _blocks(n: int):
-    """Row blocks [r0, r1) of _COV_BLOCK rows.
-
-    Each comes with the indices (i, j) of the strict lower triangle of its
-    diagonal square.
-    """
-    for r0 in range(0, n, _COV_BLOCK):
-        r1 = min(r0 + _COV_BLOCK, n)
-        yield r0, r1, np.tril_indices(r1 - r0, -1)
-
-
 def _cholesky_in_place(a: np.ndarray) -> bool:
     """Overwrite a with its lower Cholesky factor; False, if a is not positive definite.
 
@@ -382,12 +358,11 @@ def _cholesky_in_place(a: np.ndarray) -> bool:
     _DPOTRF(b"L", ctypes.byref(n), a, ctypes.byref(n), ctypes.byref(info))
     if info.value != 0:
         return False
-    for r0, r1, (i, j) in _blocks(len(a)):
+    for r0 in range(0, len(a), _COV_BLOCK):
+        r1 = r0 + _COV_BLOCK
         a[r1:, r0:r1] = a[r0:r1, r1:].T
         a[r0:r1, r1:] = 0.0
-        square = a[r0:r1, r0:r1]
-        square[i, j] = square[j, i]
-        square[j, i] = 0.0
+        a[r0:r1, r0:r1] = np.tril(a[r0:r1, r0:r1].T)
     return True
 
 
@@ -415,10 +390,11 @@ def cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
     if _cholesky_in_place(cov):
         return cov
     for jitter in _JITTERS:
-        for r0, r1, (i, j) in _blocks(len(cov)):
+        for r0 in range(0, len(cov), _COV_BLOCK):
+            r1 = r0 + _COV_BLOCK
             cov[r0:r1, r1:] = cov[r1:, r0:r1].T
             square = cov[r0:r1, r0:r1]
-            square[j, i] = square[i, j]
+            square[...] = np.tril(square) + np.triu(square.T, 1)
         cov += 0.0
         np.fill_diagonal(cov, diagonal + jitter)
         if _cholesky_in_place(cov):

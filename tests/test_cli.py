@@ -474,7 +474,8 @@ def test_simulate_rejects_fewer_than_one_path(tmp_path, capsys, paths):
 
 @pytest.mark.parametrize("flag, value", [("--n", 1), ("--n", 0), ("--delta-t", 0),
                                          ("--delta-t", -0.5), ("--delta-t", "nan"),
-                                         ("--delta-t", "inf"), ("--delta-t", "1e308")])
+                                         ("--delta-t", "inf"), ("--delta-t", "1e308"),
+                                         ("--seed", -1)])
 def test_simulate_rejects_bad_n_and_delta_t(tmp_path, capsys, flag, value):
     out = tmp_path / "x.csv"
     code = run(["simulate", "--hurst", "constant:0.5", flag, value, "--output", out])
@@ -986,6 +987,8 @@ def test_experiment_case_and_mode_flags_are_config_errors(tmp_path, capsys, flag
     ({"path_length": True}, []),
     ({}, ["--path-length", "1"]),
     ({"path_length": 305}, ["--path-length", "-5"]),
+    ({"path_length": 2**40}, []),  # its 8 n^2 covariance bytes would overflow np.intp
+    ({}, ["--path-length", str(2**40)]),
 ])
 def test_experiment_rejects_bad_path_length(tmp_path, capsys, monkeypatch, config, flags):
     def no_run(ec):

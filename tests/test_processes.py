@@ -18,7 +18,7 @@ from covclust import (
     sample_path,
 )
 from covclust import processes
-from covclust.processes import _GAMMA_CHUNK, _gamma
+from covclust.processes import _gamma
 
 from naive_oracles import dense_cov_matrix, fbm_increment_cov, mbm_cov
 
@@ -141,10 +141,10 @@ def test_build_cov_matrix_diagonal_squares_are_exactly_symmetric(monkeypatch, n,
 @pytest.mark.parametrize("cpus", [1, 2, 8])
 def test_build_cov_matrix_memory_is_the_matrix_and_its_workspace(monkeypatch, cpus):
     # beside the 8 n^2-byte matrix the build holds 3 x _COV_BLOCK x n floats of
-    # row buffers, over all its threads, and each thread's _gamma chunk buffers
+    # row buffers, over all its threads; _gamma's scratch is in those buffers
     monkeypatch.setattr(processes, "_usable_cpus", lambda: cpus)
     n = 2000
-    workspace = 8 * (3 * processes._COV_BLOCK * n + cpus * 5 * _GAMMA_CHUNK)
+    workspace = 8 * 3 * processes._COV_BLOCK * n
     f = HurstFunction.periodic(0.3, 1.0)
     times = np.arange(1, n + 1) / n
     tracemalloc.start()
@@ -166,8 +166,8 @@ def test_non_finite_coupling_in_a_worker_block_fails_like_serial(monkeypatch):
     cached = [(key, id(factor)) for key, factor in processes._FACTORS.items()]
     real = processes._gamma
 
-    def nan_in_blocks(x, out=None, work=None):
-        out = real(x, out, work)
+    def nan_in_blocks(x, s1=None, s2=None):
+        out = real(x, s1, s2)
         helper = threading.current_thread() is not threading.main_thread()
         if out.ndim == 2 and (helper or out.shape[1] < n):
             out[-1, -1] = np.nan
@@ -207,14 +207,14 @@ GAMMA_PROFILES = {
 
 def test_gamma_matches_scipy_bitwise_random():
     x = np.random.default_rng(11).uniform(1.0, 3.0, 1_200_000)
-    assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    assert _gamma(x.copy()).tobytes() == scipy_gamma(x).tobytes()
 
 
 def test_gamma_matches_scipy_bitwise_edges():
     edges = [1.0, 2.0, 3.0]
     edges += [np.nextafter(e, d) for e in edges for d in (0.0, 4.0)]
     x = np.array(edges)
-    assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+    assert _gamma(x.copy()).tobytes() == scipy_gamma(x).tobytes()
     assert _gamma(np.array([1.0, 2.0, 3.0])).tolist() == [1.0, 1.0, 2.0]
 
 
@@ -224,20 +224,22 @@ def test_gamma_matches_scipy_bitwise_on_hurst_profiles(kind):
         for f in GAMMA_PROFILES[kind](n):
             x = _gamma_arguments(f, n)
             assert x.min() >= 1.0 and x.max() <= 3.0
-            assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
+            assert _gamma(x.copy()).tobytes() == scipy_gamma(x).tobytes()
     if kind == "tabulated":
         assert 3.0 in _gamma_arguments(TabulatedHurst([np.nextafter(1.0, 0.0)] * 2), 2)
 
 
-def test_gamma_keeps_shape_and_chunk_edges():
-    # sizes straddle the chunk edge; a 2-d block gives the same values as its ravel
+def test_gamma_over_strided_views_matches_scipy_bitwise():
+    # as the covariance build calls it: Gamma written over a block of rows
+    # from some column on, with its scratch in strided views of other arrays
     rng = np.random.default_rng(5)
-    for size in (1, _GAMMA_CHUNK - 1, _GAMMA_CHUNK, _GAMMA_CHUNK + 1, 2 * _GAMMA_CHUNK + 7):
-        x = rng.uniform(1.0, 3.0, size)
-        assert _gamma(x).tobytes() == scipy_gamma(x).tobytes()
-    block = rng.uniform(1.0, 3.0, (256, 300))
-    assert _gamma(block).shape == block.shape
-    assert _gamma(block).tobytes() == scipy_gamma(block).tobytes()
+    matrix, scratch = rng.uniform(1.0, 3.0, (2, 300, 500))
+    before = matrix.copy()
+    block = matrix[100:164, 200:]
+    assert _gamma(block, scratch[:64, 200:], scratch[236:, :300][::-1]) is block
+    assert block.tobytes() == scipy_gamma(before[100:164, 200:]).tobytes()
+    block[...] = before[100:164, 200:]
+    assert matrix.tobytes() == before.tobytes()  # nothing outside the block was written
 
 
 def test_build_cov_matrix_rejects_unordered_times():
@@ -541,7 +543,7 @@ def test_new_profile_holds_one_covariance_when_one_factor_fits(monkeypatch):
     n = 600
     processes._FACTORS.clear()
     monkeypatch.setattr(processes, "_FACTOR_BYTES", 8 * n**2)
-    workspace = 8 * (3 * processes._COV_BLOCK * n + 5 * _GAMMA_CHUNK)
+    workspace = 8 * 3 * processes._COV_BLOCK * n
     tracemalloc.start()
     try:
         for h in (0.3, -0.3):
