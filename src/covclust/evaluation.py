@@ -63,12 +63,15 @@ def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
 
     Exhaustive over the kappa! bijections for small kappa, scored together as
     one gather from the integer confusion matrix; optimal assignment on the
-    confusion matrix above that.
+    confusion matrix above that. Cluster labels outside 0..kappa-1 raise
+    ValueError, as ground-truth labels do.
     """
     if c.labels.size != g.labels.size:
         raise ValueError("clustering and ground truth index different path sets")
     if c.kappa != g.kappa:
         raise ValueError(f"cluster count {c.kappa} != ground-truth group count {g.kappa}")
+    if c.labels.min() < 0 or c.labels.max() >= c.kappa:
+        raise ValueError("cluster labels must lie in 0..kappa-1")
     n = g.labels.size
     kappa = g.kappa
     confusion = np.zeros((kappa, kappa), dtype=int)

@@ -22,17 +22,20 @@ time. The bytes equal one `'%.17g'` per value.
 
 Files are read in bulk only in the layout `write_series` writes: no quotes,
 CR, NUL or 0x1c-0x1f bytes, ASCII t_index and value fields, each series one
-contiguous run of rows, and a newline after every row. The file is read once
-into a buffer, whose ids are split and compared in numpy a slice of rows at a
-time; the buffer is released, and one `np.loadtxt` call reads t_index and
-value, so a bulk read holds about the file's size. `np.loadtxt` converts a
-value with `PyOS_string_to_double`, the correctly rounded routine behind
-`float()`, so each value is bit-equal to `float()` of its field, and a
-t_index as `int()` reads it. It refuses some text that those accept, such
-as underscores and integers beyond int64. Each row's t_index must then equal
-its place in its run ("0", "00" and "+0" all do). The excluded bytes are
-those numpy reads otherwise than Python: it takes 0x1c-0x1f for spaces, and
-its int parser takes some non-ASCII characters for digits.
+contiguous run of rows whose first t_index is the text `0`, and a newline
+after every row. The file is read once into a buffer, whose rows are split in
+numpy a slice at a time: a run starts at each row whose t_index is exactly
+`0`, and every row of a run must hold the id of its first row. The buffer is
+released, and one `np.loadtxt` call reads t_index and value, so a bulk read
+holds about the file's size. `np.loadtxt` converts a value with
+`PyOS_string_to_double`, the correctly rounded routine behind `float()`, so
+each value is bit-equal to `float()` of its field, and a t_index as `int()`
+reads it. It refuses some text that those accept, such as underscores and
+integers beyond int64. Each later row's t_index must then be one more than
+the row before ("1", "01" and "+1" all are). A run whose first t_index is
+written otherwise, such as "00" or "+0", is read row by row. The excluded
+bytes are those numpy reads otherwise than Python: it takes 0x1c-0x1f for
+spaces, and its int parser takes some non-ASCII characters for digits.
 
 Every other file is read row by row: text numpy refuses, rows out of order,
 no final newline, blank lines, interleaved series, or any schema error. Both
@@ -45,7 +48,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from pathlib import Path
 
 import numpy as np
@@ -250,12 +252,12 @@ def read_series(source, ragged_ok: bool = False) -> list:
     """Parse a series file into SamplePaths, ordered by first appearance.
 
     A file in the layout `write_series` writes (no quotes, CR, NUL or blank
-    lines, each series one contiguous run of rows indexed 0, 1, ..., a newline
-    after every row) is read by `_read_columns`, whose one `np.loadtxt` call
-    gives each t_index and value as `int()` and `float()` read them. Any
-    other file, and any file that fails a check, is read again by
-    `_read_checked`, whose row-by-row checks define every SchemaError and
-    raise the first one.
+    lines, each series one contiguous run of rows indexed 0, 1, ..., its
+    first index the text `0`, a newline after every row) is read by
+    `_read_columns`, whose one `np.loadtxt` call gives each t_index and value
+    as `int()` and `float()` read them. Any other file, and any file that
+    fails a check, is read again by `_read_checked`, whose row-by-row checks
+    define every SchemaError and raise the first one.
     """
     source = Path(source)
     paths = _read_columns(source, ragged_ok)
@@ -266,10 +268,11 @@ def _read_columns(source: Path, ragged_ok: bool):
     """The paths of a valid file in the writer's layout, or None if it is in
     another layout or any check would fail.
 
-    The ids are compared as bytes by `_runs`; t_index and value are read by
-    one `np.loadtxt` call, whose fields convert as `int()` and `float()`
-    convert them, or raise a ValueError, which also means None. The file's
-    bytes are released before that call.
+    The runs of rows and their ids are found by `_runs`; t_index and value are
+    read by one `np.loadtxt` call, whose fields convert as `int()` and
+    `float()` convert them, or raise a ValueError, which also means None. The
+    file's bytes are released before that call. Each run starts at t_index 0,
+    and each of its later rows must be one past the row before.
     """
     runs = _runs(source)
     if runs is None:
@@ -282,12 +285,8 @@ def _read_columns(source: Path, ragged_ok: bool):
         return None
     if len(columns) != counts.sum():
         return None  # the file changed after the scan
-    t = columns["t"]
-    for lo in range(0, len(t), _CHUNK_ROWS):
-        row = np.arange(lo, min(lo + _CHUNK_ROWS, len(t)))
-        start = first[np.searchsorted(first, row, "right") - 1]  # of each row's run
-        if not (t[lo : lo + _CHUNK_ROWS] == row - start).all():
-            return None  # a row out of its place in its run
+    if not (np.delete(np.diff(columns["t"]), first[1:] - 1) == 1).all():
+        return None  # a row out of its place in its run
     values = np.ascontiguousarray(columns["value"])
     if not np.isfinite(values).all():
         return None
@@ -300,31 +299,26 @@ def _read_columns(source: Path, ragged_ok: bool):
 
 def _runs(source: Path):
     """(ids, first, counts) of a file in the writer's layout, or None if a check fails:
-    the id, first row and row count of each run of rows with one id.
+    the id, first row and row count of each run of rows.
 
-    The file is read once, into a buffer with 8 zero bytes past its end, and
+    A run starts at each row whose t_index field is exactly `0`, and every row
+    of a run must hold the id of its first row. The file is read once and
     scanned a slice of whole rows at a time: at most _CHUNK_ROWS x 64 bytes,
     or one row that is longer. So the scan holds the file's bytes and the
     arrays of one slice.
     """
-    with source.open("rb", buffering=0) as fh:
-        size = os.fstat(fh.fileno()).st_size
-        data = bytearray(size + 8)  # the zeros past the end are read by the id compare's last word
-        if fh.readinto(memoryview(data)[:size]) != size:
-            return None  # the file shrank while it was read
-    h = len(_HEADER_BYTES)
-    if size <= h or not data.startswith(_HEADER_BYTES) or data[size - 1] != 10:
+    data = source.read_bytes()
+    size, h = len(data), len(_HEADER_BYTES)
+    if size <= h or not data.startswith(_HEADER_BYTES) or data[-1] != 10:
         return None  # the writer ends every row with a newline
     # and no 0x1c-0x1f, which numpy's parser reads as spaces where int() and float() refuse them
-    if any(data.find(c, 0, size) >= 0 for c in b'"\r\0\x1c\x1d\x1e\x1f'):
+    if any(c in data for c in b'"\r\0\x1c\x1d\x1e\x1f'):
         return None
     text = np.frombuffer(data, np.uint8)
-    words = np.ndarray((size + 1,), "<u8", data, strides=(1,))  # 8 bytes from any offset
     limit = csv.field_size_limit()
     all_ascii = data.isascii()
     first, heads = [], []  # the first row of each run, and where its id starts and ends
     rows, lo = 0, h
-    last = (h, -1)  # stands for the row before the first: no id is -1 bytes long
     while lo < size:
         hi = data.rfind(b"\n", lo, lo + _CHUNK_ROWS * 64)
         if hi < 0:  # one row longer than that
@@ -336,15 +330,11 @@ def _runs(source: Path):
         # two commas in each line and none elsewhere: each csv row is one line split at its commas
         if len(commas) != 2 * len(ends):
             return None
-        # where the rows start: the row before the slice, then the slice's own
-        at = np.concatenate(((last[0], lo), ends[:-1] + 1))
-        starts = at[1:]
+        starts = np.concatenate(((lo,), ends[:-1] + 1))
         c1, c2 = commas[0::2], commas[1::2]
         if not ((c1 >= starts).all() and (c2 < ends).all()):
             return None
-        size_at = np.concatenate(((last[1],), c1 - starts))
-        id_size = size_at[1:]
-        if max(id_size.max(), (c2 - c1).max() - 1, (ends - c2).max() - 1) > limit:
+        if max((c1 - starts).max(), (c2 - c1).max() - 1, (ends - c2).max() - 1) > limit:
             return None  # csv refuses a field this long
         # numpy's int parser reads some non-ASCII characters as digits (U+01FE as 462),
         # so t_index and value must be ASCII
@@ -352,31 +342,20 @@ def _runs(source: Path):
             wide = np.flatnonzero(chunk > 127) + lo
             if (wide > c1[np.searchsorted(ends, wide)]).any():
                 return None
-
-        # a row's id equals the id of the row before (for the slice's first row,
-        # the last row of the slice before): its first 8 bytes, then 8 at a time
-        # for the pairs still equal with id bytes left, so no word is read past
-        # an id's end
-        w = words[at]
-        same = (id_size == size_at[:-1]) & (
-            ((w[1:] ^ w[:-1]) & _BYTES_BELOW[np.minimum(id_size, 8)]) == 0)
-        pair, q = np.flatnonzero(same & (id_size > 8)), 8
-        while pair.size:
-            left = size_at[pair] - q
-            w = words[at[pair] + q] ^ words[at[pair + 1] + q]
-            differ = (w & _BYTES_BELOW[np.minimum(left, 8)]) != 0
-            same[pair[differ]] = False
-            pair, q = pair[~differ & (left > 8)], q + 8
-        new = np.flatnonzero(~same)
+        new = np.flatnonzero((c2 - c1 == 2) & (text[c1 + 1] == 48))  # t_index "0"
         first.append(rows + new)
         heads += zip(starts[new].tolist(), c1[new].tolist())
         rows += len(ends)
-        last = (starts[-1], id_size[-1])
         lo = hi
     first = np.concatenate(first)
-    counts = np.diff(np.append(first, rows))
-    if counts.min() < 2:
-        return None
+    counts = np.diff(first, append=rows)
+    if first[:1].tolist() != [0] or counts.min() < 2:
+        return None  # rows before the first run, or a run of one row
+    # ids hold no newline or comma, so each match is a row of the run that starts with this id
+    stops = [a for a, _ in heads[1:]] + [size]
+    if any(data.count(b"\n" + data[a:b] + b",", a - 1, stop - 1) != n
+           for (a, b), stop, n in zip(heads, stops, counts.tolist())):
+        return None  # a row whose id is not its run's
     try:
         ids = [data[a:b].decode("utf-8") for a, b in heads]
     except UnicodeDecodeError:

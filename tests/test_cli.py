@@ -136,6 +136,11 @@ READ_CORPUS = [
     # the id-run check reads no id bytes past the end of the file
     pytest.param(HEAD + f"{'a' * 40},0,1\n{'a' * 40},1,2\nb,0,1\nb,1,2\n", False, None,
                  id="long-id-then-short-series"),
+    # a run starts at each t_index "0", and each of its rows must hold its first row's id
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,2,3\nb,3,4\n", False, "gap", id="index-counts-across-ids"),
+    pytest.param(HEAD + "series_0001,0,1\nseries_0001,1,2\nseries_0002,2,3\nseries_0002,3,4\n",
+                 False, "gap", id="index-counts-across-long-ids"),
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,2,3\na,3,4\n", False, "gap", id="foreign-row-in-run"),
     pytest.param("series_id,t_index,value\ra,0,1\ra,1,2\r", False, None, id="lone-cr"),
     pytest.param("series_id,t_index,value,\na,0,1\na,1,2\n", False, "line 1: expected header",
                  id="header-trailing-comma"),

@@ -165,6 +165,11 @@ def test_rate_input_validation():
         misclassification_rate(clustering_from([0, 1, 0], 2), g)
     with pytest.raises(ValueError):
         misclassification_rate(clustering_from([0, 1], 2), GroundTruth(3, np.array([0, 2])))
+    # labels outside 0..kappa-1
+    for labels in ([0, 0, -1, -1], [0, 0, 2, 2]):
+        with pytest.raises(ValueError):
+            misclassification_rate(Clustering(2, np.array(labels), (0, None)),
+                                   GroundTruth(2, np.array([0, 0, 1, 1])))
 
 
 # ---------------------------------------------------------------------------
