@@ -342,8 +342,7 @@ def _window_scales(z: SamplePath, H: HurstFunction, L: int) -> np.ndarray:
 
 
 def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFunction,
-                 cfg: DissimConfig = DissimConfig(),
-                 counter: OpCounter | None = None) -> float:
+                 cfg: DissimConfig = DissimConfig()) -> float:
     """Like d_star_hat, but each window is rescaled by delta_t ** H(t_i).
 
     With delta_t = 1 every scale factor is exactly 1.0, so the result is
@@ -351,8 +350,6 @@ def d_tilde_star(z1: SamplePath, z2: SamplePath, H1: HurstFunction, H2: HurstFun
     """
     K, L = cfg.windows(min(len(z1), len(z2)))
     scales = (_window_scales(z1, H1, L), _window_scales(z2, H2, L))
-    if counter is not None:
-        counter.rho += L * d_hat_rho_count(K + 1, cfg)
     return _pair(np.diff(z1.values), np.diff(z2.values), K + 1, L, cfg, scales)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dissimilarity import DissimConfig, InfeasibleError, OpCounter, dissimilarity_matrix
+from .dissimilarity import DissimConfig, InfeasibleError, dissimilarity_matrix
 from .hurst import HurstFunction
 from .offline import Clustering, offline_cluster
 from .online import online_cluster
@@ -35,19 +35,9 @@ GROUP_H_VALUES = {
 _EXHAUSTIVE_KAPPA_LIMIT = 7
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """The reference partition of path indexes into kappa groups."""
-
-    kappa: int
-    labels: np.ndarray
-
-    def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
-        present = np.unique(labels)
-        if present.size == 0 or present.min() < 0 or present.max() >= self.kappa:
-            raise ValueError("ground-truth labels must lie in 0..kappa-1")
+class GroundTruth(Clustering):
+    """The reference partition of path indexes into kappa groups: a `Clustering`
+    without centers, whose labels are checked when it is built."""
 
 
 @functools.cache
@@ -63,15 +53,13 @@ def misclassification_rate(c: Clustering, g: GroundTruth) -> float:
 
     Exhaustive over the kappa! bijections for small kappa, scored together as
     one gather from the integer confusion matrix; optimal assignment on the
-    confusion matrix above that. Cluster labels outside 0..kappa-1 raise
-    ValueError, as ground-truth labels do.
+    confusion matrix above that. Both partitions checked their labels when
+    they were built; paths or kappas that differ raise ValueError.
     """
     if c.labels.size != g.labels.size:
         raise ValueError("clustering and ground truth index different path sets")
     if c.kappa != g.kappa:
         raise ValueError(f"cluster count {c.kappa} != ground-truth group count {g.kappa}")
-    if c.labels.min() < 0 or c.labels.max() >= c.kappa:
-        raise ValueError("cluster labels must lie in 0..kappa-1")
     n = g.labels.size
     kappa = g.kappa
     confusion = np.zeros((kappa, kappa), dtype=int)
@@ -204,7 +192,7 @@ Epoch = NamedTuple("Epoch", [("t", int), ("cfg", DissimConfig), ("D", np.ndarray
                              ("clustering", Clustering), ("truth", GroundTruth)])
 
 
-def experiment_epochs(ec: ExperimentConfig, seed: int, counter: OpCounter | None = None):
+def experiment_epochs(ec: ExperimentConfig, seed: int):
     """Cluster every epoch of one seed, in order, yielding one `Epoch` each.
 
     An epoch t whose 3t+5 values, the longest path of the epoch in either
@@ -231,11 +219,11 @@ def experiment_epochs(ec: ExperimentConfig, seed: int, counter: OpCounter | None
         paths, truth = build(pool, t)
         K, L = DissimConfig().windows(min(len(p) for p in paths))
         cfg = DissimConfig(K=K, L=L, use_log_star=ec.log_star)
-        D = dissimilarity_matrix(paths, cfg, counter=counter)
+        D = dissimilarity_matrix(paths, cfg)
         yield Epoch(t, cfg, D, step(D, ec.kappa), truth)
 
 
-def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> list:
+def run_experiment(ec: ExperimentConfig) -> list:
     """Score every (seed, epoch) pair; returns rows (seed, t, misclassification rate).
 
     The rows reduce the records of `experiment_epochs`, seed by seed, so an
@@ -243,7 +231,7 @@ def run_experiment(ec: ExperimentConfig, counter: OpCounter | None = None) -> li
     its seed.
     """
     return [(seed, e.t, misclassification_rate(e.clustering, e.truth))
-            for seed in ec.seeds for e in experiment_epochs(ec, seed, counter)]
+            for seed in ec.seeds for e in experiment_epochs(ec, seed)]
 
 
 def aggregate_rates(rows) -> list:

@@ -3,7 +3,8 @@
 Operates on a precomputed symmetric dissimilarity matrix; all choices are
 order-statistic based, so any strictly increasing entrywise transform of the
 matrix yields the same partition. Ties between centers break toward the lowest
-index, ties in the assignment toward the lowest label.
+index, ties in the assignment toward the lowest label. A `Clustering` checks
+its labels when it is built, so every one that exists is a valid partition.
 """
 
 from __future__ import annotations
@@ -15,14 +16,21 @@ import numpy as np
 
 @dataclass(frozen=True)
 class Clustering:
-    """A partition of path indexes 0..N-1 into kappa labeled clusters."""
+    """A partition of path indexes 0..N-1 into kappa labeled clusters.
+
+    Labels that are empty or lie outside 0..kappa-1 raise `ValueError` when
+    the partition is built.
+    """
 
     kappa: int
     labels: np.ndarray
-    centers: tuple
+    centers: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", np.asarray(self.labels, dtype=int))
+        labels = np.asarray(self.labels, dtype=int)
+        object.__setattr__(self, "labels", labels)
+        if labels.size == 0 or labels.min() < 0 or labels.max() >= self.kappa:
+            raise ValueError("labels must be non-empty and lie in 0..kappa-1")
 
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k)

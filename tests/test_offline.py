@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from covclust import Clustering, offline_cluster
+from covclust import Clustering, GroundTruth, offline_cluster
 
 from naive_oracles import memberwise_offline_cluster
 
@@ -100,6 +100,14 @@ def test_validation_reports_the_first_failing_check(D, message):
     # checks run in the order shape, finiteness, symmetry, zero diagonal
     with pytest.raises(ValueError, match=message):
         offline_cluster(np.array(D), 1)
+
+
+@pytest.mark.parametrize("partition", [Clustering, GroundTruth])
+@pytest.mark.parametrize("labels", [[0, 0, -1, -1], [0, 0, 2, 2], []])
+def test_partition_refuses_labels_outside_0_to_kappa(partition, labels):
+    # a partition that exists holds every path in one of its kappa clusters
+    with pytest.raises(ValueError, match="0..kappa-1"):
+        partition(2, np.array(labels))
 
 
 def test_lowest_index_tie_break():

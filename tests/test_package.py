@@ -11,7 +11,7 @@ SOURCE = Path(covclust.__file__).resolve().parent
 
 # The code lines of `covclust`, counted by `_code_lines`. A change that adds
 # lines raises this ceiling on purpose; one that removes lines may lower it.
-CODE_LINES = 1274
+CODE_LINES = 1263
 
 # Every public name of the package. A name added to or removed from
 # `covclust` must be added to or removed from this list on purpose.
@@ -82,4 +82,5 @@ def _code_lines(path):
 
 
 def test_code_lines_stay_under_their_ceiling():
-    assert sum(_code_lines(path) for path in SOURCE.glob("*.py")) <= CODE_LINES
+    counts = {path.name: _code_lines(path) for path in sorted(SOURCE.glob("*.py"))}
+    assert sum(counts.values()) <= CODE_LINES, ", ".join(f"{k} {n}" for k, n in counts.items())
