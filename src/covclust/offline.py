@@ -18,8 +18,9 @@ import numpy as np
 class Clustering:
     """A partition of path indexes 0..N-1 into kappa labeled clusters.
 
-    Labels that are empty or lie outside 0..kappa-1 raise `ValueError` when
-    the partition is built.
+    Labels must be a non-empty integer (or bool) array with values in
+    0..kappa-1, and are stored as int. Any others, such as 0.9, NaN or -1,
+    raise `ValueError` when the partition is built.
     """
 
     kappa: int
@@ -27,10 +28,10 @@ class Clustering:
     centers: tuple = ()
 
     def __post_init__(self):
-        labels = np.asarray(self.labels, dtype=int)
-        object.__setattr__(self, "labels", labels)
-        if labels.size == 0 or labels.min() < 0 or labels.max() >= self.kappa:
-            raise ValueError("labels must be non-empty and lie in 0..kappa-1")
+        if (labels := np.asarray(self.labels)).dtype.kind not in "biu" or labels.size == 0 \
+                or labels.min() < 0 or labels.max() >= self.kappa:
+            raise ValueError("labels must be non-empty integers in 0..kappa-1")
+        object.__setattr__(self, "labels", labels.astype(int, copy=False))
 
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k)

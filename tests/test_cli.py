@@ -177,6 +177,11 @@ READ_CORPUS = [
     pytest.param(HEAD + "".join(f"a,{i},1\n" for i in range(462)) + "a,\u01fe,1\n", False,
                  "line 464: non-integer", id="index-non-ascii-digit"),
     pytest.param(HEAD + "a,0,1\na,0,2\n", False, "line 3: duplicate", id="duplicate"),
+    # the bulk read's own checks fall back to the row-by-row read, which names the line
+    pytest.param(HEAD + "a,0,1\na,1,2\nb,0,1\nb,1,2\na,0,3\na,1,4\n", False, "line 6: duplicate",
+                 id="series-in-two-runs"),
+    pytest.param(HEAD + "\udcff,0,1\n\udcff,1,2\n", False, "line 2: not UTF-8",
+                 id="undecodable-id"),
     pytest.param(HEAD + "a,0,1\na,2,2\n", False, "gap", id="gap"),
     pytest.param(HEAD + "a,0,1\na,99999999999999999999,2\n", False, "gap", id="index-beyond-int64"),
     pytest.param(HEAD + "a,0,1\nb,0,1\nb,1,2\n", False, "at least 2 points", id="single-point"),
@@ -928,12 +933,28 @@ def test_experiment_rejects_epochs_below_one(tmp_path, capsys, flags):
     assert not out.exists() and not summ.exists()
 
 
-def test_experiment_bad_config_file(tmp_path, capsys):
+@pytest.mark.parametrize("text, message", [
+    pytest.param("[1, 2]", "config file must be a flat JSON object", id="not-an-object"),
+    pytest.param(None, "cannot read config", id="missing"),
+    pytest.param("seeds = [0]", "cannot read config", id="not-json"),
+])
+def test_experiment_bad_config_file(tmp_path, capsys, text, message):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text("[1, 2]")
+    if text is not None:
+        cfg.write_text(text)
     code = run(["experiment", "--config", cfg, "--output", tmp_path / "r.csv",
                 "--summary", tmp_path / "s.csv"])
     assert code == 4
+    assert capsys.readouterr().err.startswith(f"error: config: {message}")
+
+
+def test_experiment_seeds_must_be_integers(tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert run(["experiment", "--seeds", "1,x", "--output", out,
+                "--summary", tmp_path / "s.csv"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: --seeds expects comma-separated integers: '1,x'"]
+    assert not out.exists()
 
 
 def test_experiment_path_length_key_and_flag(tmp_path, capsys):
@@ -1007,3 +1028,65 @@ def test_experiment_rejects_bad_path_length(tmp_path, capsys, monkeypatch, confi
     assert code == 4
     assert capsys.readouterr().err.startswith("error: config: path_length must be an integer >= 2")
     assert not (tmp_path / "r.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# the module entry point, in a fresh interpreter
+# ---------------------------------------------------------------------------
+
+
+def _run_module(argv, cwd):
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "covclust.cli", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture(scope="module")
+def entry_inputs(tmp_path_factory):
+    """A directory that holds `tiny.csv`, 4 series of 40 values written by a fresh
+    `python -m covclust.cli simulate`, and two files no reader accepts."""
+    d = tmp_path_factory.mktemp("entry")
+    done = _run_module(["simulate", "--hurst", "sin:0.3,1.0", "--n", "40", "--paths", "4",
+                        "--delta-t", "0.025", "--output", str(d / "tiny.csv")], d)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    (d / "undecodable.csv").write_bytes(b"series_id,t_index,value\na,0,1.5\na,1,\xff\n")
+    # the writer writes the id; csv refuses to read it back
+    write_series([SamplePath("i" * 140_000, np.ones(2))], d / "oversized.csv")
+    return d
+
+
+ENTRY_POINT_CASES = [
+    # (argv, with {d} for the inputs' directory; exit code; the start of the one
+    # line on stdout (exit 0) or stderr, or the whole of it with its newline;
+    # the outputs, relative to the case's own directory, that must not exist)
+    pytest.param(["ingest-check", "--input", "{d}/tiny.csv"], 0,
+                 "ok: 4 series, lengths 40..40\n", [], id="ingest-check"),
+    pytest.param(["ingest-check", "--input", "{d}/undecodable.csv"], 3, "error: schema: ", [],
+                 id="undecodable"),
+    pytest.param(["ingest-check", "--input", "{d}/oversized.csv"], 3, "error: schema: ", [],
+                 id="oversized"),
+    pytest.param(["simulate", "--hurst", "constant:0.5", "--paths", "0", "--output", "x.csv"],
+                 4, "error: config: ", ["x.csv"], id="no-paths"),
+    pytest.param(["simulate", "--hurst", "mono:0.3,nan", "--n", "10", "--output", "x.csv"],
+                 4, "error: config: ", ["x.csv"], id="nan-horizon"),
+    pytest.param(["simulate", "--hurst", "mono:nan,1.0", "--n", "10", "--output", "x.csv"],
+                 4, "error: config: ", ["x.csv"], id="nan-amplitude"),
+    pytest.param(["simulate", "--hurst", "constant:0.5", "--n", "1" + "0" * 400,
+                  "--output", "x.csv"], 4, "error: config: --n ", ["x.csv"], id="n-too-large"),
+    pytest.param(["experiment", "--seeds", "0", "--epochs", "1", "--path-length", str(2**40),
+                  "--output", "r.csv", "--summary", "s.csv"], 4, "error: config: path_length ",
+                 ["r.csv", "s.csv"], id="path-length-too-large"),
+    pytest.param(["cluster", "--input", "{d}/tiny.csv", "--kappa", "5", "--output", "x.csv"],
+                 5, "error: infeasible: ", ["x.csv"], id="kappa-over-series"),
+]
+
+
+@pytest.mark.parametrize("argv, code, line, absent", ENTRY_POINT_CASES)
+def test_module_entry_point_in_a_fresh_process(tmp_path, entry_inputs, argv, code, line, absent):
+    # `python -m covclust.cli` exits with main()'s code and writes one line
+    done = _run_module([a.format(d=entry_inputs) for a in argv], tmp_path)
+    out, other = (done.stdout, done.stderr) if code == 0 else (done.stderr, done.stdout)
+    assert done.returncode == code, done.stderr
+    assert out.startswith(line) and out.count("\n") == 1 and out.endswith("\n"), out
+    assert other == ""
+    assert not [name for name in absent if (tmp_path / name).exists()]

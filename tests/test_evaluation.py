@@ -119,7 +119,7 @@ runs = [
     ["simulate", "--hurst", "sin:0.3,1.0", "--n", "60", "--paths", "10", "--delta-t", "0.01",
      "--output", d + "/s.csv"],
     ["ingest-check", "--input", d + "/s.csv"],
-    ["cluster", "--input", d + "/s.csv", "--output", d + "/l.csv", "--kappa", "5"],
+    ["cluster", "--input", d + "/s.csv", "--output", d + "/l.csv", "--kappa", "5", "--log-star"],
     ["cluster", "--input", d + "/s.csv", "--output", d + "/o.csv", "--kappa", "5",
      "--mode", "online"],
     ["experiment", "--case", "mono", "--seeds", "0", "--epochs", "5,20",

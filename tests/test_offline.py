@@ -103,7 +103,7 @@ def test_validation_reports_the_first_failing_check(D, message):
 
 
 @pytest.mark.parametrize("partition", [Clustering, GroundTruth])
-@pytest.mark.parametrize("labels", [[0, 0, -1, -1], [0, 0, 2, 2], []])
+@pytest.mark.parametrize("labels", [[0, 0, -1, -1], [0, 0, 2, 2], [], [0.9, 1.0], [0, np.nan]])
 def test_partition_refuses_labels_outside_0_to_kappa(partition, labels):
     # a partition that exists holds every path in one of its kappa clusters
     with pytest.raises(ValueError, match="0..kappa-1"):

@@ -248,6 +248,12 @@ def test_build_cov_matrix_rejects_unordered_times():
         build_cov_matrix(f, np.array([2.0, 1.0]))
 
 
+@pytest.mark.parametrize("times", [np.array([]), np.ones((2, 2))], ids=["empty", "2-d"])
+def test_build_cov_matrix_rejects_empty_or_non_1d_times(times):
+    with pytest.raises(ValueError, match="^times must be a non-empty 1-d grid$"):
+        build_cov_matrix(HurstFunction.constant(0.5), times)
+
+
 def test_constant_kernel_matches_fbm_formula():
     h = 0.7
     f = HurstFunction.constant(h)
@@ -405,6 +411,17 @@ def test_sample_path_validation():
         sample_path(f, 1, 1.0, seed=0)
     with pytest.raises(ValueError):
         sample_path(f, 5, 0.0, seed=0)
+
+
+@pytest.mark.parametrize("values, message", [
+    pytest.param([1.0], "^a sample path needs at least 2 values$", id="one-value"),
+    pytest.param([[1.0, 2.0]], "^a sample path needs at least 2 values$", id="2-d"),
+    pytest.param([1.0, np.nan], "^sample path values must be finite$", id="nan"),
+    pytest.param([-np.inf, 1.0], "^sample path values must be finite$", id="minus-inf"),
+])
+def test_sample_path_refuses_short_or_non_finite_values(values, message):
+    with pytest.raises(ValueError, match=message):
+        SamplePath("a", np.array(values))
 
 
 @pytest.mark.filterwarnings("error")
